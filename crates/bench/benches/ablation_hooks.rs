@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use tgl_harness::CpuTimer;
+use std::time::Instant;
 
 use tgl_bench::{bench_scale, preamble};
 use tgl_data::{generate, DatasetKind, DatasetSpec, NegativeSampler, Split};
@@ -152,20 +152,20 @@ fn main() {
             batch.set_negatives(negs.draw(batch.len()));
             let hooks_first = (bi + round) % 2 == 0;
             let (a, b) = if hooks_first {
-                let s = CpuTimer::start();
+                let s = Instant::now();
                 let a = hooks_embeddings(&ctx, &batch, &sampler, &layers);
-                t_hooks += s.elapsed_s();
-                let s = CpuTimer::start();
+                t_hooks += s.elapsed().as_secs_f64();
+                let s = Instant::now();
                 let b = manual_embeddings(&ctx, &batch, &sampler, &layers);
-                t_manual += s.elapsed_s();
+                t_manual += s.elapsed().as_secs_f64();
                 (a, b)
             } else {
-                let s = CpuTimer::start();
+                let s = Instant::now();
                 let b = manual_embeddings(&ctx, &batch, &sampler, &layers);
-                t_manual += s.elapsed_s();
-                let s = CpuTimer::start();
+                t_manual += s.elapsed().as_secs_f64();
+                let s = Instant::now();
                 let a = hooks_embeddings(&ctx, &batch, &sampler, &layers);
-                t_hooks += s.elapsed_s();
+                t_hooks += s.elapsed().as_secs_f64();
                 (a, b)
             };
             if round == 0 {

@@ -119,7 +119,7 @@ OBSERVABILITY OPTIONS (train/eval):
                          up to N batches (negatives, neighbor sampling,
                          transfer staging) ahead of the compute stage
                          over a bounded channel; 0 = sequential
-                         reference (default; also via TGL_PIPELINE).
+                         reference (default).
                          Losses are bitwise identical at any depth
     --kernel <exact|fast>  tensor kernel contract (overrides TGL_KERNEL):
                          exact = bitwise identical to the scalar
@@ -407,7 +407,7 @@ fn train(args: &Args, eval_only: bool) {
         best_val = best_val.max(s.val_ap);
         log.record_epoch(e, &s);
         println!(
-            "epoch {:>2}: loss {:.4}  val AP {:5.2}%  ({:.2}s cpu)",
+            "epoch {:>2}: loss {:.4}  val AP {:5.2}%  ({:.2}s)",
             e + 1,
             s.loss,
             s.val_ap * 100.0,
@@ -425,7 +425,7 @@ fn train(args: &Args, eval_only: bool) {
         }
     }
     let (test_ap, test_s) = trainer.evaluate(model.as_mut(), &ctx, split.test.clone());
-    println!("test AP {:.2}% ({test_s:.2}s cpu)", test_ap * 100.0);
+    println!("test AP {:.2}% ({test_s:.2}s)", test_ap * 100.0);
     if train_cfg.epochs > 0 {
         println!("best val AP {:.2}%", best_val * 100.0);
     }

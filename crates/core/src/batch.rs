@@ -19,8 +19,8 @@ pub struct TBatch {
     graph: Arc<TemporalGraph>,
     range: Range<usize>,
     negs: Vec<NodeId>,
-    /// Prefetched sampling/staging work attached by the pipelined
-    /// trainer's sampler stage (see [`crate::plan`]).
+    /// The block chain prefetched for this batch, if any (see
+    /// [`crate::plan`]).
     plan: Option<Arc<crate::plan::BatchPlan>>,
     /// Introspection observations collected while the batch was built
     /// (possibly on a sampler thread), carried to the compute thread so
@@ -110,8 +110,8 @@ impl TBatch {
     }
 
     /// Attaches a prefetch plan built by [`crate::plan::build_plan`].
-    /// Plan-aware models replay it instead of re-running dedup,
-    /// sampling, and feature staging on the compute thread.
+    /// Models that build their chain with [`crate::plan::chain`] take
+    /// its chain instead of building one on the compute thread.
     pub fn set_plan(&mut self, plan: Arc<crate::plan::BatchPlan>) {
         self.plan = Some(plan);
     }

@@ -18,10 +18,8 @@
 //!    automatically after the block's computation, preserving output
 //!    semantics without user bookkeeping.
 
-use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
-use std::rc::{Rc, Weak};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError, Weak};
 
 use tgl_device::Device;
 use tgl_graph::{NodeId, TemporalGraph, Time};
@@ -34,12 +32,15 @@ use crate::TContext;
 /// rows and returns the transformed rows.
 pub struct BlockHook {
     name: String,
-    func: Box<dyn FnMut(Tensor) -> Tensor>,
+    func: Box<dyn FnMut(Tensor) -> Tensor + Send>,
 }
 
 impl BlockHook {
     /// Creates a hook.
-    pub fn new(name: impl Into<String>, func: impl FnMut(Tensor) -> Tensor + 'static) -> BlockHook {
+    pub fn new(
+        name: impl Into<String>,
+        func: impl FnMut(Tensor) -> Tensor + Send + 'static,
+    ) -> BlockHook {
         BlockHook {
             name: name.into(),
             func: Box::new(func),
@@ -58,19 +59,19 @@ impl std::fmt::Debug for BlockHook {
     }
 }
 
-pub(crate) struct BlockInner {
-    pub(crate) graph: Arc<TemporalGraph>,
-    pub(crate) device: Device,
-    pub(crate) layer: usize,
-    pub(crate) dst_nodes: Vec<NodeId>,
-    pub(crate) dst_times: Vec<Time>,
-    pub(crate) nbrs: Option<NeighborSample>,
+struct BlockInner {
+    graph: Arc<TemporalGraph>,
+    device: Device,
+    layer: usize,
+    dst_nodes: Vec<NodeId>,
+    dst_times: Vec<Time>,
+    nbrs: Option<NeighborSample>,
     dstdata: HashMap<String, Tensor>,
     srcdata: HashMap<String, Tensor>,
     edata: HashMap<String, Tensor>,
     hooks: Vec<BlockHook>,
     next: Option<TBlock>,
-    prev: Weak<RefCell<BlockInner>>,
+    prev: Weak<Mutex<BlockInner>>,
     dst_feat_cache: Option<Tensor>,
     src_feat_cache: Option<Tensor>,
     edge_feat_cache: Option<Tensor>,
@@ -78,15 +79,61 @@ pub(crate) struct BlockInner {
 
 /// A temporal block. Cheap to clone (shared handle).
 ///
-/// Blocks are single-threaded by design (model forward passes run on
-/// one thread); the parallel sampler works on plain arrays before
-/// attaching results to a block.
+/// Blocks are `Send + Sync`, so a whole chain can be built on one
+/// thread and handed to another (the pipelined trainer's sampler stage
+/// does exactly that, see [`crate::plan`]). They are not meant for
+/// concurrent use: each access takes the block's lock with `try_lock`,
+/// and a contended or re-entrant access (e.g. calling `num_dst()`
+/// inside `with_nbrs`) panics with "TBlock re-entered" rather than
+/// deadlocking.
 #[derive(Clone)]
 pub struct TBlock {
-    pub(crate) inner: Rc<RefCell<BlockInner>>,
+    inner: Arc<Mutex<BlockInner>>,
 }
 
 impl TBlock {
+    /// A block with destinations only, linked back to `prev`.
+    fn wrap(
+        graph: Arc<TemporalGraph>,
+        device: Device,
+        layer: usize,
+        dst_nodes: Vec<NodeId>,
+        dst_times: Vec<Time>,
+        prev: Weak<Mutex<BlockInner>>,
+    ) -> TBlock {
+        TBlock {
+            inner: Arc::new(Mutex::new(BlockInner {
+                graph,
+                device,
+                layer,
+                dst_nodes,
+                dst_times,
+                nbrs: None,
+                dstdata: HashMap::new(),
+                srcdata: HashMap::new(),
+                edata: HashMap::new(),
+                hooks: Vec::new(),
+                next: None,
+                prev,
+                dst_feat_cache: None,
+                src_feat_cache: None,
+                edge_feat_cache: None,
+            })),
+        }
+    }
+
+    /// Locks the block. Poison is ignored, as a `RefCell` borrow is
+    /// released on unwind: every method checks before it mutates, and
+    /// the closures run under the lock only read, so a panic under the
+    /// lock leaves the block valid.
+    fn lock(&self) -> MutexGuard<'_, BlockInner> {
+        match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => panic!("TBlock re-entered"),
+        }
+    }
+
     /// Creates a standalone block for the given destination
     /// `(node, time)` pairs at `layer`.
     ///
@@ -95,25 +142,7 @@ impl TBlock {
     /// Panics if `nodes` and `times` differ in length.
     pub fn new(ctx: &TContext, layer: usize, nodes: Vec<NodeId>, times: Vec<Time>) -> TBlock {
         assert_eq!(nodes.len(), times.len(), "dst nodes/times length mismatch");
-        TBlock {
-            inner: Rc::new(RefCell::new(BlockInner {
-                graph: Arc::clone(ctx.graph()),
-                device: ctx.device(),
-                layer,
-                dst_nodes: nodes,
-                dst_times: times,
-                nbrs: None,
-                dstdata: HashMap::new(),
-                srcdata: HashMap::new(),
-                edata: HashMap::new(),
-                hooks: Vec::new(),
-                next: None,
-                prev: Weak::new(),
-                dst_feat_cache: None,
-                src_feat_cache: None,
-                edge_feat_cache: None,
-            })),
-        }
+        TBlock::wrap(Arc::clone(ctx.graph()), ctx.device(), layer, nodes, times, Weak::new())
     }
 
     // ---------------------------------------------------------------
@@ -122,27 +151,27 @@ impl TBlock {
 
     /// Number of destination pairs.
     pub fn num_dst(&self) -> usize {
-        self.inner.borrow().dst_nodes.len()
+        self.lock().dst_nodes.len()
     }
 
     /// The layer index this block was created for (head = 0).
     pub fn layer(&self) -> usize {
-        self.inner.borrow().layer
+        self.lock().layer
     }
 
     /// Destination node ids (cloned).
     pub fn dst_nodes(&self) -> Vec<NodeId> {
-        self.inner.borrow().dst_nodes.clone()
+        self.lock().dst_nodes.clone()
     }
 
     /// Destination timestamps (cloned).
     pub fn dst_times(&self) -> Vec<Time> {
-        self.inner.borrow().dst_times.clone()
+        self.lock().dst_times.clone()
     }
 
     /// Runs `f` over the destination arrays without cloning.
     pub fn with_dst<R>(&self, f: impl FnOnce(&[NodeId], &[Time]) -> R) -> R {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         f(&inner.dst_nodes, &inner.dst_times)
     }
 
@@ -155,7 +184,7 @@ impl TBlock {
     /// mismatch.
     pub fn replace_dst(&self, nodes: Vec<NodeId>, times: Vec<Time>) {
         assert_eq!(nodes.len(), times.len(), "dst nodes/times length mismatch");
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.lock();
         assert!(
             inner.nbrs.is_none(),
             "cannot replace destinations after sampling; apply dst-filtering \
@@ -172,7 +201,7 @@ impl TBlock {
 
     /// Whether the neighborhood has been sampled/attached.
     pub fn has_nbrs(&self) -> bool {
-        self.inner.borrow().nbrs.is_some()
+        self.lock().nbrs.is_some()
     }
 
     /// Attaches a sampled neighborhood.
@@ -182,7 +211,7 @@ impl TBlock {
     /// Panics if any `dst_index` is out of range for this block's
     /// destinations.
     pub fn set_neighborhood(&self, nbrs: NeighborSample) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.lock();
         let n = inner.dst_nodes.len();
         assert!(
             nbrs.dst_index.iter().all(|&d| d < n),
@@ -195,14 +224,13 @@ impl TBlock {
 
     /// Number of sampled edges (0 before sampling).
     pub fn num_edges(&self) -> usize {
-        self.inner.borrow().nbrs.as_ref().map_or(0, |n| n.len())
+        self.lock().nbrs.as_ref().map_or(0, |n| n.len())
     }
 
     /// Per-edge destination position — the segment ids for segmented
     /// operators.
     pub fn dst_index(&self) -> Vec<usize> {
-        self.inner
-            .borrow()
+        self.lock()
             .nbrs
             .as_ref()
             .map_or_else(Vec::new, |n| n.dst_index.clone())
@@ -210,8 +238,7 @@ impl TBlock {
 
     /// Sampled neighbor node per edge.
     pub fn src_nodes(&self) -> Vec<NodeId> {
-        self.inner
-            .borrow()
+        self.lock()
             .nbrs
             .as_ref()
             .map_or_else(Vec::new, |n| n.src_nodes.clone())
@@ -219,8 +246,7 @@ impl TBlock {
 
     /// Timestamp of each sampled edge.
     pub fn src_times(&self) -> Vec<Time> {
-        self.inner
-            .borrow()
+        self.lock()
             .nbrs
             .as_ref()
             .map_or_else(Vec::new, |n| n.src_times.clone())
@@ -228,8 +254,7 @@ impl TBlock {
 
     /// Edge id of each sampled edge.
     pub fn eids(&self) -> Vec<tgl_graph::EdgeId> {
-        self.inner
-            .borrow()
+        self.lock()
             .nbrs
             .as_ref()
             .map_or_else(Vec::new, |n| n.eids.clone())
@@ -241,7 +266,7 @@ impl TBlock {
     ///
     /// Panics if no neighborhood is attached.
     pub fn with_nbrs<R>(&self, f: impl FnOnce(&NeighborSample) -> R) -> R {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         f(inner
             .nbrs
             .as_ref()
@@ -251,7 +276,7 @@ impl TBlock {
     /// Per-edge time delta `t_dst − t_edge` as `f32` (the input to the
     /// time encoder for neighbor edges).
     pub fn delta_times(&self) -> Vec<f32> {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         match &inner.nbrs {
             Some(n) => n
                 .dst_index
@@ -266,7 +291,7 @@ impl TBlock {
     /// Unique sampled source nodes (first-appearance order) plus the
     /// per-edge index into that unique list.
     pub fn uniq_src(&self) -> (Vec<NodeId>, Vec<usize>) {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         let Some(n) = &inner.nbrs else {
             return (Vec::new(), Vec::new());
         };
@@ -299,11 +324,11 @@ impl TBlock {
     ///
     /// Panics if this block has no sampled neighborhood yet.
     pub fn next_block(&self) -> TBlock {
-        if let Some(next) = self.inner.borrow().next.clone() {
+        if let Some(next) = self.lock().next.clone() {
             return next;
         }
         let (graph, device, layer, nodes, times) = {
-            let inner = self.inner.borrow();
+            let inner = self.lock();
             let n = inner
                 .nbrs
                 .as_ref()
@@ -320,38 +345,21 @@ impl TBlock {
                 times,
             )
         };
-        let next = TBlock {
-            inner: Rc::new(RefCell::new(BlockInner {
-                graph,
-                device,
-                layer,
-                dst_nodes: nodes,
-                dst_times: times,
-                nbrs: None,
-                dstdata: HashMap::new(),
-                srcdata: HashMap::new(),
-                edata: HashMap::new(),
-                hooks: Vec::new(),
-                next: None,
-                prev: Rc::downgrade(&self.inner),
-                dst_feat_cache: None,
-                src_feat_cache: None,
-                edge_feat_cache: None,
-            })),
-        };
-        self.inner.borrow_mut().next = Some(next.clone());
+        let prev = Arc::downgrade(&self.inner);
+        let next = TBlock::wrap(graph, device, layer, nodes, times, prev);
+        self.lock().next = Some(next.clone());
         next
     }
 
     /// The successor block, if one was created.
     pub fn next(&self) -> Option<TBlock> {
-        self.inner.borrow().next.clone()
+        self.lock().next.clone()
     }
 
     /// The predecessor block, if this block was created via
     /// [`TBlock::next_block`] and the predecessor is still alive.
     pub fn prev(&self) -> Option<TBlock> {
-        self.inner.borrow().prev.upgrade().map(|inner| TBlock { inner })
+        self.lock().prev.upgrade().map(|inner| TBlock { inner })
     }
 
     /// Walks `next` links to the deepest block in the chain.
@@ -381,45 +389,45 @@ impl TBlock {
 
     /// Node features of the destination pairs, on the compute device.
     pub fn dstfeat(&self) -> Tensor {
-        if let Some(t) = self.inner.borrow().dst_feat_cache.clone() {
+        if let Some(t) = self.lock().dst_feat_cache.clone() {
             return t;
         }
         let (gathered, device) = {
-            let inner = self.inner.borrow();
+            let inner = self.lock();
             (inner.graph.node_feat_rows(&inner.dst_nodes), inner.device)
         };
         let moved = gathered.to(device);
-        self.inner.borrow_mut().dst_feat_cache = Some(moved.clone());
+        self.lock().dst_feat_cache = Some(moved.clone());
         moved
     }
 
     /// Node features of the sampled neighbors, on the compute device.
     pub fn srcfeat(&self) -> Tensor {
-        if let Some(t) = self.inner.borrow().src_feat_cache.clone() {
+        if let Some(t) = self.lock().src_feat_cache.clone() {
             return t;
         }
         let (gathered, device) = {
-            let inner = self.inner.borrow();
+            let inner = self.lock();
             let nodes = inner.nbrs.as_ref().map_or(&[][..], |n| &n.src_nodes);
             (inner.graph.node_feat_rows(nodes), inner.device)
         };
         let moved = gathered.to(device);
-        self.inner.borrow_mut().src_feat_cache = Some(moved.clone());
+        self.lock().src_feat_cache = Some(moved.clone());
         moved
     }
 
     /// Edge features of the sampled edges, on the compute device.
     pub fn efeat(&self) -> Tensor {
-        if let Some(t) = self.inner.borrow().edge_feat_cache.clone() {
+        if let Some(t) = self.lock().edge_feat_cache.clone() {
             return t;
         }
         let (gathered, device) = {
-            let inner = self.inner.borrow();
+            let inner = self.lock();
             let eids = inner.nbrs.as_ref().map_or(&[][..], |n| &n.eids);
             (inner.graph.edge_feat_rows(eids), inner.device)
         };
         let moved = gathered.to(device);
-        self.inner.borrow_mut().edge_feat_cache = Some(moved.clone());
+        self.lock().edge_feat_cache = Some(moved.clone());
         moved
     }
 
@@ -431,7 +439,7 @@ impl TBlock {
         src: Option<Tensor>,
         edge: Option<Tensor>,
     ) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.lock();
         if dst.is_some() {
             inner.dst_feat_cache = dst;
         }
@@ -443,22 +451,10 @@ impl TBlock {
         }
     }
 
-    /// Snapshot of the installed `(dst, src, edge)` feature caches.
-    /// Plan staging ([`crate::plan::build_plan`]) harvests these after
-    /// running `op::preload` on a prefetch-local chain.
-    pub(crate) fn feat_caches(&self) -> (Option<Tensor>, Option<Tensor>, Option<Tensor>) {
-        let inner = self.inner.borrow();
-        (
-            inner.dst_feat_cache.clone(),
-            inner.src_feat_cache.clone(),
-            inner.edge_feat_cache.clone(),
-        )
-    }
-
     /// Drops cached feature tensors; they reload gracefully on next
     /// access.
     pub fn flush_cache(&self) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.lock();
         inner.dst_feat_cache = None;
         inner.src_feat_cache = None;
         inner.edge_feat_cache = None;
@@ -470,7 +466,7 @@ impl TBlock {
     ///
     /// Panics if the graph has no attached memory.
     pub fn mem_data(&self) -> Tensor {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         let mem = inner.graph.memory();
         mem.rows(&inner.dst_nodes).to(inner.device)
     }
@@ -481,7 +477,7 @@ impl TBlock {
     ///
     /// Panics if the graph has no attached mailbox.
     pub fn mail(&self) -> (Tensor, Vec<Time>) {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         let mb = inner.graph.mailbox();
         let (mail, times) = mb.latest(&inner.dst_nodes);
         (mail.to(inner.device), times)
@@ -489,12 +485,12 @@ impl TBlock {
 
     /// The graph this block was created from.
     pub fn graph(&self) -> Arc<TemporalGraph> {
-        Arc::clone(&self.inner.borrow().graph)
+        Arc::clone(&self.lock().graph)
     }
 
     /// The compute device of this block.
     pub fn device(&self) -> Device {
-        self.inner.borrow().device
+        self.lock().device
     }
 
     // ---------------------------------------------------------------
@@ -503,7 +499,7 @@ impl TBlock {
 
     /// Attaches a named tensor to the destination side.
     pub fn set_dstdata(&self, key: &str, t: Tensor) {
-        self.inner.borrow_mut().dstdata.insert(key.to_string(), t);
+        self.lock().dstdata.insert(key.to_string(), t);
     }
 
     /// Retrieves named destination data.
@@ -512,8 +508,7 @@ impl TBlock {
     ///
     /// Panics if the key is absent.
     pub fn dstdata(&self, key: &str) -> Tensor {
-        self.inner
-            .borrow()
+        self.lock()
             .dstdata
             .get(key)
             .unwrap_or_else(|| panic!("no dstdata[{key:?}] on this block"))
@@ -522,12 +517,12 @@ impl TBlock {
 
     /// Whether destination data exists for `key`.
     pub fn has_dstdata(&self, key: &str) -> bool {
-        self.inner.borrow().dstdata.contains_key(key)
+        self.lock().dstdata.contains_key(key)
     }
 
     /// Attaches a named tensor to the source (neighbor-edge) side.
     pub fn set_srcdata(&self, key: &str, t: Tensor) {
-        self.inner.borrow_mut().srcdata.insert(key.to_string(), t);
+        self.lock().srcdata.insert(key.to_string(), t);
     }
 
     /// Retrieves named source data.
@@ -536,8 +531,7 @@ impl TBlock {
     ///
     /// Panics if the key is absent.
     pub fn srcdata(&self, key: &str) -> Tensor {
-        self.inner
-            .borrow()
+        self.lock()
             .srcdata
             .get(key)
             .unwrap_or_else(|| panic!("no srcdata[{key:?}] on this block"))
@@ -546,12 +540,12 @@ impl TBlock {
 
     /// Whether source data exists for `key`.
     pub fn has_srcdata(&self, key: &str) -> bool {
-        self.inner.borrow().srcdata.contains_key(key)
+        self.lock().srcdata.contains_key(key)
     }
 
     /// Attaches a named per-edge tensor.
     pub fn set_edata(&self, key: &str, t: Tensor) {
-        self.inner.borrow_mut().edata.insert(key.to_string(), t);
+        self.lock().edata.insert(key.to_string(), t);
     }
 
     /// Retrieves named per-edge data.
@@ -560,8 +554,7 @@ impl TBlock {
     ///
     /// Panics if the key is absent.
     pub fn edata(&self, key: &str) -> Tensor {
-        self.inner
-            .borrow()
+        self.lock()
             .edata
             .get(key)
             .unwrap_or_else(|| panic!("no edata[{key:?}] on this block"))
@@ -579,19 +572,19 @@ impl TBlock {
     /// the operator applied last filtered the destinations last, so its
     /// inversion must run first to restore the intermediate layout.
     pub fn register_hook(&self, hook: BlockHook) {
-        self.inner.borrow_mut().hooks.push(hook);
+        self.lock().hooks.push(hook);
     }
 
     /// Number of pending hooks.
     pub fn num_hooks(&self) -> usize {
-        self.inner.borrow().hooks.len()
+        self.lock().hooks.len()
     }
 
     /// Consumes and runs all registered hooks on `output` (reverse
     /// registration order), returning the transformed tensor.
     pub fn run_hooks(&self, output: Tensor) -> Tensor {
         let mut hooks: Vec<BlockHook> = {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.lock();
             std::mem::take(&mut inner.hooks)
         };
         let mut out = output;
@@ -600,16 +593,11 @@ impl TBlock {
         }
         out
     }
-
-    /// Immutable access to the destination node array (no clone).
-    pub fn dst_nodes_ref(&self) -> Ref<'_, [NodeId]> {
-        Ref::map(self.inner.borrow(), |i| i.dst_nodes.as_slice())
-    }
 }
 
 impl std::fmt::Debug for TBlock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         write!(
             f,
             "TBlock(layer={}, dst={}, edges={}, hooks={}, linked={})",
@@ -695,7 +683,7 @@ mod tests {
         assert!(blk.next().is_some());
         // Second call returns the same block.
         let again = blk.next_block();
-        assert!(Rc::ptr_eq(&again.inner, &next.inner));
+        assert!(Arc::ptr_eq(&again.inner, &next.inner));
     }
 
     #[test]
@@ -707,7 +695,7 @@ mod tests {
         sample(&mid);
         let tail = mid.next_block();
         assert_eq!(head.chain_len(), 3);
-        assert!(Rc::ptr_eq(&head.tail().inner, &tail.inner));
+        assert!(Arc::ptr_eq(&head.tail().inner, &tail.inner));
     }
 
     #[test]
@@ -794,6 +782,23 @@ mod tests {
         let (mail, times) = blk.mail();
         assert_eq!(mail.to_vec(), vec![1.0, 2.0, 3.0, 0.0, 0.0, 0.0]);
         assert_eq!(times, vec![2.5, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "TBlock re-entered")]
+    fn nested_access_panics_instead_of_deadlocking() {
+        let (_g, ctx) = setup();
+        let blk = TBlock::new(&ctx, 0, vec![0], vec![1.0]);
+        blk.with_dst(|_, _| blk.num_dst());
+    }
+
+    #[test]
+    fn block_stays_usable_after_a_panic_under_its_lock() {
+        let (_g, ctx) = setup();
+        let blk = TBlock::new(&ctx, 0, vec![0], vec![1.0]);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| blk.srcdata("h")));
+        assert!(r.is_err());
+        assert_eq!(blk.num_dst(), 1);
     }
 
     #[test]

@@ -19,7 +19,6 @@ pub use agg::{aggregate, propagate};
 pub use cache::cache;
 pub use coalesce::{coalesce, CoalesceBy};
 pub use dedup::dedup;
-pub(crate) use dedup::{dedup_apply, dedup_planned};
 pub use preload::preload;
 pub use segment::{edge_reduce, edge_softmax, src_scatter, ReduceOp};
 pub use time::{precomputed_times, precomputed_zeros};

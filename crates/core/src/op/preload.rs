@@ -65,20 +65,24 @@ fn preload_block(ctx: &TContext, blk: &TBlock, device: Device, use_pin: bool) {
 mod tests {
     use super::*;
     use crate::{TBlock, TContext, TSampler};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
     use tgl_graph::TemporalGraph;
     use tgl_sampler::SamplingStrategy;
     use tgl_tensor::Tensor;
 
-    fn setup(feat_device: Device, compute: Device) -> (Arc<TemporalGraph>, TContext) {
+    /// Holds a lock for the whole test: these tests read the
+    /// process-global transfer stats, and they are the crate's only
+    /// tests that move data to another device.
+    fn setup(feat_device: Device, compute: Device) -> (MutexGuard<'static, ()>, TContext) {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let g = Arc::new(TemporalGraph::from_edges(
             3,
             vec![(0, 1, 1.0), (1, 2, 2.0)],
         ));
         g.set_node_feats(Tensor::from_vec((0..6).map(|v| v as f32).collect(), [3, 2]).to(feat_device));
         g.set_edge_feats(Tensor::from_vec(vec![1.0, 2.0], [2, 1]).to(feat_device));
-        let ctx = TContext::with_device(Arc::clone(&g), compute);
-        (g, ctx)
+        (guard, TContext::with_device(g, compute))
     }
 
     #[test]

@@ -1,158 +1,124 @@
-//! Prefetch plans: a `Send` description of a batch's sampling work.
+//! Prefetch plans: a batch's block chain, built ahead of time.
 //!
-//! The pipelined trainer computes batch N+1's expensive, parameter-
-//! independent work — negative draws, per-layer dedup, temporal
-//! neighbor sampling, and host-to-device feature staging — on a
-//! sampler stage while batch N runs forward/backward on the compute
-//! stage. [`TBlock`]s are `Rc`-based and cannot cross threads, so the
-//! sampler stage ships a [`BatchPlan`] instead: plain vectors plus
-//! staged [`Tensor`]s (which are `Send + Sync`). The compute stage
-//! rebuilds its block chain and replays the plan with
-//! [`BatchPlan::apply_layer`].
+//! A batch's [`TBlock`] chain — `block` → `dedup` → [`cache`] →
+//! `sample` per layer, then `preload` — depends only on the batch and
+//! the model's [`SamplingSpec`], never on parameters or node memory.
+//! [`build_plan`] is the one place that builds it. Models call it
+//! through [`chain`] on the compute thread; the pipelined trainer calls
+//! it on its sampler stage for batch N+1 while batch N runs
+//! forward/backward, and ships the finished chain inside a
+//! [`BatchPlan`] attached to the batch. Blocks are `Send + Sync`, so
+//! the chain itself moves: nothing is replayed on the compute side.
 //!
 //! # Determinism and counter contract
 //!
-//! [`build_plan`] replicates exactly the chain construction a
-//! training-mode forward pass performs (`block` → `dedup` → `sample`
-//! per layer, then `preload`): dedup is a pure function of the
-//! destination list, and temporal sampling seeds one RNG stream per
-//! destination from the sampler seed, so the plan built on another
-//! thread is bitwise identical to what the sequential path would have
-//! computed. Every observability counter for this work
-//! (`dedup.*`, `sampler.*`, `preload.*`, `transfer.*`) fires exactly
-//! once — at build time, on the sampler stage — and
-//! [`BatchPlan::apply_layer`] is counter-silent, so pipelined counter
-//! totals match the sequential trainer's.
+//! Dedup is a pure function of the destination list, and temporal
+//! sampling seeds one RNG stream per destination from the sampler seed,
+//! so a chain built on another thread is bitwise identical to one built
+//! inline. Each chain is built exactly once per batch — a plan's chain
+//! is handed out once — so every counter for this work (`dedup.*`,
+//! `sampler.*`, `preload.*`, `transfer.*`) fires once per batch at any
+//! pipeline depth.
+//!
+//! [`cache`]: crate::op::cache
 
-use tgl_graph::{NodeId, Time};
-use tgl_sampler::{NeighborSample, TemporalSampler};
-use tgl_tensor::Tensor;
+use std::sync::{Mutex, PoisonError};
+
+use tgl_sampler::TemporalSampler;
 
 use crate::{op, TBatch, TBlock, TContext};
 
-/// The training-mode sampling/staging recipe of a model — everything
-/// [`build_plan`] needs to replay the model's chain construction off
-/// the compute thread.
+/// A model's chain recipe: everything [`build_plan`] needs to build the
+/// model's block chain for a batch.
 #[derive(Debug, Clone)]
 pub struct SamplingSpec {
     /// Blocks in the chain (message-passing layers).
     pub n_layers: usize,
     /// Apply `op::dedup` to each block before sampling.
     pub dedup: bool,
+    /// Apply `op::cache` to each block before sampling. Models set it
+    /// only for inference: memoized embeddings go stale as soon as
+    /// parameters change, so a training chain never uses the cache.
+    /// Such a chain reads the cache when built, so build it just
+    /// before its forward pass, not ahead of time.
+    pub cache: bool,
     /// Stage features through the pinned pool (`op::preload`). When
-    /// false, features stay lazy and load on the compute stage exactly
-    /// as the sequential path would.
+    /// false, features stay lazy and load on first access.
     pub preload_pinned: bool,
     /// The model's sampler engine (its seed makes sampling a pure
     /// function of the destination list).
     pub sampler: TemporalSampler,
 }
 
-/// A layer's precomputed dedup replacement.
-#[derive(Debug)]
-struct DedupPlan {
-    nodes: Vec<NodeId>,
-    times: Vec<Time>,
-    inverse: Vec<usize>,
-}
-
-/// One block's worth of prefetched work.
-#[derive(Debug)]
-struct LayerPlan {
-    /// `Some` only when dedup actually shrank the destination list.
-    dedup: Option<DedupPlan>,
-    nbrs: NeighborSample,
-    /// Staged `(dst, src, edge)` feature tensors (preload only).
-    feats: (Option<Tensor>, Option<Tensor>, Option<Tensor>),
-}
-
-/// The full prefetched work for one batch, layer by layer.
+/// A batch's prefetched block chain. The chain is handed out once: a
+/// second forward pass over the same batch builds its own.
 #[derive(Debug)]
 pub struct BatchPlan {
-    layers: Vec<LayerPlan>,
+    head: Mutex<Option<TBlock>>,
 }
+
+// The chain crosses threads inside a plan; fail the build, not a run,
+// if blocks stop being shareable.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<TBlock>();
+    assert_send_sync::<BatchPlan>();
+};
 
 impl BatchPlan {
-    /// Number of planned layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Replays layer `i`'s prefetched work onto a freshly built block:
-    /// dedup replacement + inversion hook, sampled neighborhood, and
-    /// staged feature tensors. Fires no counters — they already fired
-    /// at build time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or the block's destination list
-    /// does not match what the plan was built from (a determinism
-    /// violation).
-    pub fn apply_layer(&self, i: usize, blk: &TBlock) {
-        let layer = &self.layers[i];
-        if let Some(d) = &layer.dedup {
-            op::dedup_apply(blk, d.nodes.clone(), d.times.clone(), d.inverse.clone());
-        }
-        blk.set_neighborhood(layer.nbrs.clone());
-        let (dst, src, edge) = layer.feats.clone();
-        blk.install_feat_cache(dst, src, edge);
+    /// Takes the chain's head block; `None` once it has been taken.
+    pub fn take(&self) -> Option<TBlock> {
+        self.head
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 }
 
-/// Builds the prefetch plan for `batch` by replaying the model's
-/// training-mode chain construction on the calling thread (the
-/// pipelined trainer calls this from its sampler stage). The local
-/// block chain is thrown away; only `Send` data survives in the plan.
+/// Builds `batch`'s block chain per `spec` on the calling thread and
+/// wraps it in a plan to attach with [`TBatch::set_plan`].
 pub fn build_plan(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> BatchPlan {
     let prep = crate::prof::scope("prep_batch");
     let head = batch.block(ctx);
     drop(prep);
     let mut tail = head.clone();
-    let mut layers = Vec::with_capacity(spec.n_layers);
     for i in 0..spec.n_layers {
         if i > 0 {
             tail = tail.next_block();
         }
-        let dedup = if spec.dedup {
-            op::dedup_planned(&tail)
-                .map(|(nodes, times, inverse)| DedupPlan { nodes, times, inverse })
-        } else {
-            None
-        };
-        let nbrs = {
-            let _s = crate::prof::scope("sample");
-            let csr = tail.graph().tcsr();
-            tail.with_dst(|nodes, times| spec.sampler.sample(&csr, nodes, times))
-        };
-        tail.set_neighborhood(nbrs.clone());
-        layers.push(LayerPlan {
-            dedup,
-            nbrs,
-            feats: (None, None, None),
-        });
+        if spec.dedup {
+            op::dedup(&tail);
+        }
+        if spec.cache {
+            op::cache(ctx, &tail);
+        }
+        let _s = crate::prof::scope("sample");
+        let csr = tail.graph().tcsr();
+        let nbrs = tail.with_dst(|nodes, times| spec.sampler.sample(&csr, nodes, times));
+        tail.set_neighborhood(nbrs);
     }
     if spec.preload_pinned {
         let _p = crate::prof::scope("preload");
         op::preload(ctx, &head, true);
-        // Harvest the staged tensors preload installed into the local
-        // chain; apply_layer re-installs them on the compute stage.
-        let mut cur = Some(head);
-        let mut i = 0;
-        while let Some(blk) = cur {
-            if i < layers.len() {
-                layers[i].feats = blk.feat_caches();
-            }
-            cur = blk.next();
-            i += 1;
-        }
     }
-    BatchPlan { layers }
+    BatchPlan {
+        head: Mutex::new(Some(head)),
+    }
+}
+
+/// The head of `batch`'s block chain: the prefetched one when the batch
+/// carries an untaken plan, otherwise one built here by [`build_plan`].
+pub fn chain(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> TBlock {
+    batch
+        .plan()
+        .and_then(|plan| plan.take())
+        .or_else(|| build_plan(ctx, batch, spec).take())
+        .expect("a fresh plan holds its chain")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TContext;
     use std::sync::Arc;
     use tgl_graph::TemporalGraph;
     use tgl_sampler::SamplingStrategy;
@@ -170,24 +136,28 @@ mod tests {
                 (3, 4, 6.0),
             ],
         ));
-        g.set_node_feats(Tensor::from_vec((0..12).map(|v| v as f32).collect(), [6, 2]));
+        g.set_node_feats(Tensor::from_vec(
+            (0..12).map(|v| v as f32).collect(),
+            [6, 2],
+        ));
         g.set_edge_feats(Tensor::from_vec((0..6).map(|v| v as f32).collect(), [6, 1]));
         let ctx = TContext::new(Arc::clone(&g));
         (g, ctx)
     }
 
-    fn spec(dedup: bool, preload: bool) -> SamplingSpec {
+    fn spec(dedup: bool, cache: bool, preload: bool) -> SamplingSpec {
         SamplingSpec {
             n_layers: 2,
             dedup,
+            cache,
             preload_pinned: preload,
             sampler: TemporalSampler::new(3, SamplingStrategy::Recent).with_seed(7),
         }
     }
 
-    /// Sequential-style chain construction, as `Tgat::embeddings` does
-    /// it in training mode.
-    fn build_sequential(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> TBlock {
+    /// The chain written out operator by operator, as the paper's
+    /// Listing 2 does it.
+    fn build_inline(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> TBlock {
         let head = batch.block(ctx);
         let mut tail = head.clone();
         for i in 0..spec.n_layers {
@@ -197,26 +167,13 @@ mod tests {
             if spec.dedup {
                 op::dedup(&tail);
             }
-            let csr = tail.graph().tcsr();
-            let nbrs = tail.with_dst(|nodes, times| spec.sampler.sample(&csr, nodes, times));
-            tail.set_neighborhood(nbrs);
+            if spec.cache {
+                op::cache(ctx, &tail);
+            }
+            crate::TSampler::from_engine(spec.sampler.clone()).sample(&tail);
         }
         if spec.preload_pinned {
             op::preload(ctx, &head, true);
-        }
-        head
-    }
-
-    /// Plan-style: build on one "thread", apply to a fresh chain.
-    fn build_via_plan(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> TBlock {
-        let plan = build_plan(ctx, batch, spec);
-        let head = batch.block(ctx);
-        let mut tail = head.clone();
-        for i in 0..spec.n_layers {
-            if i > 0 {
-                tail = tail.next_block();
-            }
-            plan.apply_layer(i, &tail);
         }
         head
     }
@@ -238,61 +195,59 @@ mod tests {
         assert!(ca.is_none() && cb.is_none(), "chain lengths differ");
     }
 
+    fn batch(g: &Arc<TemporalGraph>) -> TBatch {
+        let mut batch = TBatch::new(Arc::clone(g), 2..6);
+        batch.set_negatives(vec![4, 5, 4, 5]);
+        batch
+    }
+
+    /// The plan's chain, built on another thread as the pipelined
+    /// trainer's sampler stage builds it, equals the inline chain.
     #[test]
     fn plan_rebuild_matches_sequential_chain() {
-        for (dedup, preload) in [(false, false), (true, false), (true, true)] {
+        for (dedup, cache, preload) in [
+            (false, false, false),
+            (true, false, false),
+            (true, false, true),
+            (true, true, true),
+        ] {
             let (g, ctx) = setup();
-            let mut batch = TBatch::new(Arc::clone(&g), 2..6);
-            batch.set_negatives(vec![4, 5, 4, 5]);
-            let s = spec(dedup, preload);
-            let seq = build_sequential(&ctx, &batch, &s);
-            let via = build_via_plan(&ctx, &batch, &s);
-            assert_chains_identical(&seq, &via);
+            let (_, ctx_inline) = setup();
+            let s = spec(dedup, cache, preload);
+            let inline = build_inline(&ctx_inline, &batch(&g), &s);
+            let plan = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| build_plan(&ctx, &batch(&g), &s))
+                    .join()
+                    .unwrap()
+            });
+            assert_chains_identical(&inline, &plan.take().unwrap());
         }
     }
 
     #[test]
     fn staged_features_match_lazy_loads() {
         let (g, ctx) = setup();
-        let mut batch = TBatch::new(Arc::clone(&g), 2..6);
-        batch.set_negatives(vec![4, 5, 4, 5]);
-        let s = spec(true, true);
-        let seq = build_sequential(&ctx, &batch, &s);
-        let via = build_via_plan(&ctx, &batch, &s);
-        let (seq_tail, via_tail) = (seq.tail(), via.tail());
-        assert_eq!(seq_tail.dstfeat().to_vec(), via_tail.dstfeat().to_vec());
-        assert_eq!(seq_tail.srcfeat().to_vec(), via_tail.srcfeat().to_vec());
-        assert_eq!(seq.efeat().to_vec(), via.efeat().to_vec());
+        let lazy = build_inline(&ctx, &batch(&g), &spec(true, false, false));
+        let staged = build_plan(&ctx, &batch(&g), &spec(true, false, true))
+            .take()
+            .unwrap();
+        let (lazy_tail, staged_tail) = (lazy.tail(), staged.tail());
+        assert_eq!(lazy_tail.dstfeat().to_vec(), staged_tail.dstfeat().to_vec());
+        assert_eq!(lazy_tail.srcfeat().to_vec(), staged_tail.srcfeat().to_vec());
+        assert_eq!(lazy.efeat().to_vec(), staged.efeat().to_vec());
     }
 
     #[test]
-    fn plan_is_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<BatchPlan>();
-        assert_send::<SamplingSpec>();
-    }
-
-    #[test]
-    fn apply_is_counter_silent() {
+    fn plan_hands_out_its_chain_once() {
         let (g, ctx) = setup();
-        let mut batch = TBatch::new(Arc::clone(&g), 0..4);
-        batch.set_negatives(vec![4, 5, 4, 5]);
-        let s = spec(true, false);
-        let plan = build_plan(&ctx, &batch, &s);
-        let before = tgl_obs::metrics::snapshot();
-        let head = batch.block(&ctx);
-        let mut tail = head.clone();
-        for i in 0..s.n_layers {
-            if i > 0 {
-                tail = tail.next_block();
-            }
-            plan.apply_layer(i, &tail);
-        }
-        let after = tgl_obs::metrics::snapshot();
-        for ((name, a), (_, b)) in before.iter().zip(&after) {
-            if name.starts_with("dedup.") || name.starts_with("sampler.") {
-                assert_eq!(a, b, "apply_layer moved counter {name}");
-            }
-        }
+        let s = spec(true, false, false);
+        let mut b = batch(&g);
+        let plan = Arc::new(build_plan(&ctx, &b, &s));
+        b.set_plan(Arc::clone(&plan));
+        let first = chain(&ctx, &b, &s);
+        assert!(plan.take().is_none(), "chain() must take the planned chain");
+        let second = chain(&ctx, &b, &s);
+        assert_chains_identical(&first, &second);
     }
 }

@@ -37,4 +37,4 @@ pub use flightdump::install_flight_hook;
 pub use health::{grad_norm, EpochHealth, HealthMonitor, HealthPolicy};
 pub use logging::MetricLog;
 pub use report::{EpochReport, HealthSection, RunReport, RunReporter};
-pub use trainer::{process_cpu_seconds, CpuTimer, EpochStats, TrainConfig, Trainer};
+pub use trainer::{EpochStats, TrainConfig, Trainer};

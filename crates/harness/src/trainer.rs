@@ -1,5 +1,9 @@
 //! Epoch-based training and inference driver.
 
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::Instant;
+
 use tgl_data::{NegativeSampler, Split};
 use tgl_models::TemporalModel;
 use tgl_tensor::optim::Adam;
@@ -8,55 +12,6 @@ use tglite::{TBatch, TContext};
 
 use crate::health::{HealthMonitor, HealthPolicy};
 use crate::metrics::average_precision;
-
-/// Seconds of CPU time this process has consumed (user + system,
-/// all threads). Used instead of wall time for the paper-reproduction
-/// measurements: shared-host CPU steal makes wall clocks noisy by
-/// 2-4x across minutes, while CPU time only counts cycles actually
-/// executed (including the transfer model's simulated-PCIe spins).
-/// Falls back to a monotonic wall clock on non-Linux targets.
-pub fn process_cpu_seconds() -> f64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(stat) = std::fs::read_to_string("/proc/self/stat") {
-            // Fields 14 and 15 (1-indexed) after the comm field, which
-            // may contain spaces — skip past the closing paren.
-            if let Some(pos) = stat.rfind(')') {
-                let fields: Vec<&str> = stat[pos + 2..].split_whitespace().collect();
-                if fields.len() > 13 {
-                    let utime: f64 = fields[11].parse().unwrap_or(0.0);
-                    let stime: f64 = fields[12].parse().unwrap_or(0.0);
-                    let hz = 100.0; // Linux USER_HZ
-                    return (utime + stime) / hz;
-                }
-            }
-        }
-    }
-    use std::time::SystemTime;
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(0.0)
-}
-
-/// Measures elapsed process CPU seconds across a region.
-pub struct CpuTimer {
-    start: f64,
-}
-
-impl CpuTimer {
-    /// Starts a timer.
-    pub fn start() -> CpuTimer {
-        CpuTimer {
-            start: process_cpu_seconds(),
-        }
-    }
-
-    /// CPU seconds since start.
-    pub fn elapsed_s(&self) -> f64 {
-        process_cpu_seconds() - self.start
-    }
-}
 
 /// Training hyperparameters (paper §5.1: batch 600, 10 epochs, Adam;
 /// scaled for the synthetic datasets).
@@ -112,19 +67,15 @@ impl Trainer {
     /// Creates a trainer drawing negatives from node ids
     /// `[neg_lo, neg_hi)`. The health policy comes from `TGL_HEALTH`
     /// (default warn); override with
-    /// [`with_health`](Trainer::with_health). The pipeline depth comes
-    /// from `TGL_PIPELINE` (default 0 = sequential); override with
+    /// [`with_health`](Trainer::with_health). The pipeline depth
+    /// starts at 0 (sequential); set it with
     /// [`with_pipeline`](Trainer::with_pipeline).
     pub fn new(cfg: TrainConfig, neg_lo: u32, neg_hi: u32) -> Trainer {
-        let pipeline = std::env::var("TGL_PIPELINE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
         Trainer {
             cfg,
             neg_lo,
             neg_hi,
-            pipeline,
+            pipeline: 0,
             health: std::sync::Mutex::new(HealthMonitor::new(HealthPolicy::from_env())),
         }
     }
@@ -156,15 +107,15 @@ impl Trainer {
     /// `split.val`. Memory state is reset at the epoch start and flows
     /// chronologically train → val.
     ///
-    /// With a pipeline depth of `d >= 1` (see
-    /// [`with_pipeline`](Trainer::with_pipeline)), a sampler stage on
-    /// its own thread prefetches up to `d` batches ahead — negative
-    /// draws, neighbor sampling/dedup, and pinned transfer staging via
-    /// [`tglite::plan`] — over a bounded channel while this thread
-    /// runs forward/backward/opt. All parameter and cache mutation
-    /// stays on this thread in batch order, and the prefetched work is
-    /// parameter-independent, so losses are bitwise identical to the
-    /// sequential path at any depth and thread count.
+    /// Each batch is first *prepared* — negative draw plus the model's
+    /// block chain via [`tglite::plan::build_plan`] — then *stepped*
+    /// (forward/backward/opt). Preparation depends on no parameter or
+    /// node memory. At pipeline depth 0 it runs inline; at depth
+    /// `d >= 1` (see [`with_pipeline`](Trainer::with_pipeline)) it runs
+    /// on a sampler thread up to `d` batches ahead, over a bounded
+    /// channel. All parameter and cache mutation stays on this thread
+    /// in batch order, so losses are bitwise identical at any depth and
+    /// thread count.
     pub fn train_epoch<M: TemporalModel + ?Sized>(
         &self,
         model: &mut M,
@@ -182,66 +133,39 @@ impl Trainer {
         );
         let g = ctx.graph().clone();
         let params = model.parameters();
+        let spec = model.sampling_spec();
         let mut health = self.health.lock().unwrap_or_else(|e| e.into_inner());
         health.begin_epoch(&params);
         tgl_obs::gauge!("pipeline.depth").set(self.pipeline as f64);
-        let start = CpuTimer::start();
+        let start = Instant::now();
         // Container region (traced + flight recorder only, no phase
         // accumulation): gives the critical-path analyzer the
         // epoch/step structure without perturbing the Fig-7 breakdown.
         let _epoch_region = tgl_obs::region("epoch");
-        let mut total_loss = 0.0f64;
-        let mut batches = 0usize;
-        let mut seen = 0usize;
-        if self.pipeline == 0 {
-            for range in Split::batches(&split.train, self.cfg.batch_size) {
-                {
-                    let _step = tgl_obs::histogram!("step.latency_ns").timer();
-                    let _step_region = tgl_obs::region("step");
-                    tgl_obs::insight::begin_batch();
-                    let mut batch = TBatch::new(g.clone(), range);
-                    batch.set_negatives(negs.draw(batch.len()));
-                    if let Some(loss) =
-                        Self::train_step(model, ctx, opt, &mut health, epoch, seen, &batch)
-                    {
-                        total_loss += loss;
-                        batches += 1;
-                    }
-                    seen += 1;
-                }
-                tgl_obs::insight::flush_step();
-                Self::step_telemetry(&mut health);
+        // Insight observations made while preparing a batch (negative
+        // draw, dedup, sampling) collect into a bag that travels with
+        // the batch, so they flush in batch order at any depth.
+        let prepare = |negs: &mut NegativeSampler, range: Range<usize>| {
+            let _prefetch = tgl_obs::region("prefetch");
+            tgl_obs::insight::begin_batch();
+            let mut batch = TBatch::new(g.clone(), range);
+            batch.set_negatives(negs.draw(batch.len()));
+            if let Some(spec) = &spec {
+                batch.set_plan(Arc::new(tglite::plan::build_plan(ctx, &batch, spec)));
             }
-        } else {
-            let spec = model.sampling_spec();
-            let ranges: Vec<std::ops::Range<usize>> =
-                Split::batches(&split.train, self.cfg.batch_size).collect();
-            let (tx, rx) = tgl_runtime::channel::bounded::<TBatch>(self.pipeline);
-            std::thread::scope(|scope| {
-                // Moved into this closure so a compute-stage panic
-                // drops the receiver during unwind, waking a sampler
-                // blocked on the full queue before the scope joins it.
-                let rx = rx;
-                let g_sampler = g.clone();
+            batch.set_insight(tgl_obs::insight::take_batch());
+            batch
+        };
+        let ranges = Split::batches(&split.train, self.cfg.batch_size);
+        let (mut total_loss, mut batches) = (0.0f64, 0usize);
+        std::thread::scope(|scope| {
+            let source: Box<dyn Iterator<Item = TBatch> + '_> = if self.pipeline == 0 {
+                Box::new(ranges.map(|range| prepare(&mut negs, range)))
+            } else {
+                let (tx, rx) = tgl_runtime::channel::bounded::<TBatch>(self.pipeline);
                 scope.spawn(move || {
-                    let mut negs = negs;
                     for range in ranges {
-                        let prefetch = tgl_obs::region("prefetch");
-                        // Insight observations made while building this
-                        // batch (negative draw, plan dedup/sampling)
-                        // collect into a bag that travels with the
-                        // batch to the compute thread, so flush order —
-                        // and every derived series — is batch order at
-                        // any pipeline depth.
-                        tgl_obs::insight::begin_batch();
-                        let mut batch = TBatch::new(g_sampler.clone(), range);
-                        batch.set_negatives(negs.draw(batch.len()));
-                        if let Some(spec) = &spec {
-                            let plan = tglite::plan::build_plan(ctx, &batch, spec);
-                            batch.set_plan(std::sync::Arc::new(plan));
-                        }
-                        batch.set_insight(tgl_obs::insight::take_batch());
-                        drop(prefetch);
+                        let batch = prepare(&mut negs, range);
                         tgl_obs::histogram!("pipeline.queue.occupancy").record(tx.len() as u64);
                         let _wait = tgl_obs::histogram!("pipeline.queue.send_wait_ns").timer();
                         if tx.send(batch).is_err() {
@@ -251,32 +175,31 @@ impl Trainer {
                         }
                     }
                 });
-                loop {
-                    let mut batch = {
-                        let _wait = tgl_obs::histogram!("pipeline.queue.recv_wait_ns").timer();
-                        match rx.recv() {
-                            Ok(b) => b,
-                            Err(_) => break, // closed + drained
-                        }
-                    };
+                // The receiver lives in the iterator, so a compute-stage
+                // panic drops it during unwind, waking a sampler blocked
+                // on the full queue before the scope joins it.
+                Box::new(std::iter::from_fn(move || {
+                    let _wait = tgl_obs::histogram!("pipeline.queue.recv_wait_ns").timer();
+                    rx.recv().ok()
+                }))
+            };
+            for (step, mut batch) in source.enumerate() {
+                {
+                    let _step = tgl_obs::histogram!("step.latency_ns").timer();
+                    let _step_region = tgl_obs::region("step");
+                    tgl_obs::insight::install_batch(batch.take_insight());
+                    if let Some(loss) =
+                        Self::train_step(model, ctx, opt, &mut health, epoch, step, &batch)
                     {
-                        let _step = tgl_obs::histogram!("step.latency_ns").timer();
-                        let _step_region = tgl_obs::region("step");
-                        tgl_obs::insight::install_batch(batch.take_insight());
-                        if let Some(loss) =
-                            Self::train_step(model, ctx, opt, &mut health, epoch, seen, &batch)
-                        {
-                            total_loss += loss;
-                            batches += 1;
-                        }
-                        seen += 1;
+                        total_loss += loss;
+                        batches += 1;
                     }
-                    tgl_obs::insight::flush_step();
-                    Self::step_telemetry(&mut health);
                 }
-            });
-        }
-        let train_time_s = start.elapsed_s();
+                tgl_obs::insight::flush_step();
+                Self::step_telemetry(&mut health);
+            }
+        });
+        let train_time_s = start.elapsed().as_secs_f64();
         let mean_loss = total_loss / batches.max(1) as f64;
         health.end_epoch(epoch, &params, mean_loss);
         drop(health);
@@ -298,8 +221,8 @@ impl Trainer {
 
     /// Per-step telemetry hook: one time-series sampling pass plus an
     /// alert-rule evaluation, with transitions routed through the
-    /// health policy. Runs on the compute thread after every step in
-    /// both trainer paths, so the sampling cadence — and therefore the
+    /// health policy. Runs on the compute thread after every step, so
+    /// the sampling cadence — and therefore the
     /// alert firing sequence — is a pure function of step count,
     /// independent of thread count and pipeline depth. One relaxed
     /// load when the time-series store is disabled (the default).
@@ -315,10 +238,9 @@ impl Trainer {
     }
 
     /// One compute-stage step: forward, loss, health check, backward,
-    /// optimizer update, cache invalidation. Shared verbatim by the
-    /// sequential and pipelined paths so both run the identical
-    /// floating-point sequence; all parameter and cache mutation
-    /// happens here, on the calling (compute) thread, in batch order.
+    /// optimizer update, cache invalidation. All parameter and cache
+    /// mutation happens here, on the calling (compute) thread, in batch
+    /// order.
     ///
     /// Returns the loss when the step applied, or `None` when the
     /// health monitor skipped a poisoned batch.
@@ -346,7 +268,7 @@ impl Trainer {
             // Poisoned batch: backpropagating a non-finite loss would
             // corrupt the parameters. Skip it (the event is already
             // recorded) but still drop stale caches. Queued prefetched
-            // batches stay valid — their plans never depend on the
+            // batches stay valid — their chains never depend on the
             // parameters this skip protects.
             ctx.clear_caches();
             return None;
@@ -417,12 +339,12 @@ impl Trainer {
         &self,
         model: &mut M,
         ctx: &TContext,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
     ) -> (f64, f64) {
         model.set_training(false);
         let mut negs = NegativeSampler::new(self.neg_lo, self.neg_hi, self.cfg.seed ^ 0xE7A1_5EED);
         let g = ctx.graph().clone();
-        let start = CpuTimer::start();
+        let start = Instant::now();
         // One positive and one negative score per edge in the range.
         let mut all_pos: Vec<f32> = Vec::with_capacity(range.len());
         let mut all_neg: Vec<f32> = Vec::with_capacity(range.len());
@@ -437,7 +359,7 @@ impl Trainer {
                 all_neg.extend(neg.to_vec());
             }
         }
-        let secs = start.elapsed_s();
+        let secs = start.elapsed().as_secs_f64();
         model.set_training(true);
         if all_pos.is_empty() {
             return (0.0, secs);

@@ -158,13 +158,15 @@ pub trait TemporalModel {
     /// node state as a side effect (raw-message mailbox discipline).
     fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor);
 
-    /// The training-mode sampling/staging recipe, if this model's
-    /// chain construction is a pure function of the batch (no
-    /// parameter- or state-dependent sampling). The pipelined trainer
-    /// uses it to prefetch batch N+1 on a sampler stage; `None` (the
-    /// default) limits prefetching to negative draws — memory-based
-    /// models read mutable node state during chain construction, so
-    /// their sampling cannot safely run ahead of the optimizer.
+    /// The model's block-chain recipe for the current mode, if its
+    /// `forward` builds the chain with [`tglite::plan::chain`]. The
+    /// chain is a pure function of the batch: it reads neither
+    /// parameters nor node memory (TGN reads memory only after the
+    /// chain is built, in `forward`). The pipelined trainer builds it
+    /// for batch N+1 on a sampler stage while batch N computes. `None`
+    /// (the default) limits prefetching to negative draws. APAN and
+    /// JODIE return it: neither builds an embedding chain (APAN samples
+    /// only its mail-propagation block, after the memory update).
     fn sampling_spec(&self) -> Option<tglite::plan::SamplingSpec> {
         None
     }

@@ -2,10 +2,11 @@
 
 use tgl_runtime::rng::StdRng;
 use tgl_runtime::rng::SeedableRng;
-use tgl_sampler::SamplingStrategy;
+use tgl_sampler::{SamplingStrategy, TemporalSampler};
 use tgl_tensor::nn::Module;
 use tgl_tensor::Tensor;
-use tglite::{op, TBatch, TContext, TSampler};
+use tglite::plan::SamplingSpec;
+use tglite::{op, TBatch, TContext};
 
 use crate::{score_embeddings, EdgePredictor, ModelConfig, OptFlags, TemporalAttnLayer, TemporalModel};
 
@@ -15,10 +16,13 @@ use crate::{score_embeddings, EdgePredictor, ModelConfig, OptFlags, TemporalAttn
 /// This mirrors the paper's Listing 2: build the block chain
 /// iteratively (`block` → `dedup` → `cache` → `sample` per layer),
 /// `preload` features, seed the tail with raw features, then
-/// `aggregate` the attention layers over the chain.
+/// `aggregate` the attention layers over the chain. The chain comes
+/// from [`tglite::plan::chain`], so a chain prefetched by the pipelined
+/// trainer is used as is.
 pub struct Tgat {
     layers: Vec<TemporalAttnLayer>,
-    sampler: TSampler,
+    /// The chain recipe; `cache` follows the mode (inference only).
+    spec: SamplingSpec,
     predictor: EdgePredictor,
     opts: OptFlags,
     cfg: ModelConfig,
@@ -45,10 +49,14 @@ impl Tgat {
             .collect();
         Tgat {
             layers,
-            sampler: TSampler::from_engine(
-                tgl_sampler::TemporalSampler::new(cfg.n_neighbors, SamplingStrategy::Recent)
+            spec: SamplingSpec {
+                n_layers: cfg.n_layers,
+                dedup: opts.dedup,
+                cache: false,
+                preload_pinned: opts.preload_pinned,
+                sampler: TemporalSampler::new(cfg.n_neighbors, SamplingStrategy::Recent)
                     .with_seed(seed),
-            ),
+            },
             predictor: EdgePredictor::new(cfg.emb_dim, &mut rng).to_device(device),
             opts,
             cfg,
@@ -57,42 +65,9 @@ impl Tgat {
     }
 
     /// Computes time-aware embeddings for the batch's head block.
-    ///
-    /// When the batch carries a prefetch plan (pipelined training),
-    /// the chain is rebuilt by replaying the plan — dedup, sampling,
-    /// and feature staging already happened on the sampler stage —
-    /// instead of recomputing them here. The replay is bitwise
-    /// identical to the inline construction (see `tglite::plan`).
     pub fn embeddings(&self, ctx: &TContext, batch: &TBatch) -> Tensor {
-        let plan = if self.training { batch.plan() } else { None };
-        // The prep_batch phase fired on the sampler stage when a plan
-        // was built there; the cheap rebuild here stays unscoped so
-        // the phase breakdown counts that work once.
-        let prep = plan.is_none().then(|| tglite::prof::scope("prep_batch"));
-        let head = batch.block(ctx);
-        drop(prep);
-        let mut tail = head.clone();
-        for i in 0..self.cfg.n_layers {
-            if i > 0 {
-                tail = tail.next_block();
-            }
-            if let Some(plan) = plan {
-                plan.apply_layer(i, &tail);
-                continue;
-            }
-            if self.opts.dedup {
-                op::dedup(&tail);
-            }
-            if self.opts.cache && !self.training {
-                op::cache(ctx, &tail);
-            }
-            let _s = tglite::prof::scope("sample");
-            self.sampler.sample(&tail);
-        }
-        if self.opts.preload_pinned && plan.is_none() {
-            let _p = tglite::prof::scope("preload");
-            op::preload(ctx, &head, true);
-        }
+        let head = tglite::plan::chain(ctx, batch, &self.spec);
+        let tail = head.tail();
         let _f = tglite::prof::scope("feature_load");
         tail.set_dstdata("h", tail.dstfeat());
         tail.set_srcdata("h", tail.srcfeat());
@@ -133,6 +108,7 @@ impl TemporalModel for Tgat {
 
     fn set_training(&mut self, training: bool) {
         self.training = training;
+        self.spec.cache = self.opts.cache && !training;
     }
 
     fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor) {
@@ -140,13 +116,8 @@ impl TemporalModel for Tgat {
         score_embeddings(&self.predictor, &embs, batch.len())
     }
 
-    fn sampling_spec(&self) -> Option<tglite::plan::SamplingSpec> {
-        Some(tglite::plan::SamplingSpec {
-            n_layers: self.cfg.n_layers,
-            dedup: self.opts.dedup,
-            preload_pinned: self.opts.preload_pinned,
-            sampler: self.sampler.engine().clone(),
-        })
+    fn sampling_spec(&self) -> Option<SamplingSpec> {
+        Some(self.spec.clone())
     }
 }
 
@@ -199,9 +170,12 @@ mod tests {
 
     #[test]
     fn plan_driven_forward_is_bitwise_identical() {
-        // Replaying a prefetch plan (pipelined training) must produce
-        // the exact logits the inline chain construction produces.
+        // A prefetched chain (pipelined training) must produce the
+        // exact logits the inline chain construction produces. The plan
+        // hands its chain out once, so forwarding the same batch again
+        // builds the chain inline and must still match.
         let g = small_graph(5);
+        let bits = |t: &Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
         for opts in [OptFlags::none(), OptFlags::all()] {
             let ctx_a = ctx_for(&g);
             let ctx_b = ctx_for(&g);
@@ -210,15 +184,14 @@ mod tests {
             let batch = batch_with_negs(&g, 30..70, 2);
             let (p1, n1) = inline.forward(&ctx_a, &batch);
             let mut staged = batch.clone();
-            let spec = planned.sampling_spec().expect("TGAT is plan-aware");
+            let spec = planned.sampling_spec().expect("TGAT has a chain recipe");
             let plan = tglite::plan::build_plan(&ctx_b, &staged, &spec);
             staged.set_plan(std::sync::Arc::new(plan));
-            let (p2, n2) = planned.forward(&ctx_b, &staged);
-            let bits = |t: &tglite::tensor::Tensor| -> Vec<u32> {
-                t.to_vec().iter().map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(bits(&p1), bits(&p2), "pos logits drift (opts {opts:?})");
-            assert_eq!(bits(&n1), bits(&n2), "neg logits drift (opts {opts:?})");
+            for pass in 0..2 {
+                let (p2, n2) = planned.forward(&ctx_b, &staged);
+                assert_eq!(bits(&p1), bits(&p2), "pos logits drift (opts {opts:?}, pass {pass})");
+                assert_eq!(bits(&n1), bits(&n2), "neg logits drift (opts {opts:?}, pass {pass})");
+            }
         }
     }
 

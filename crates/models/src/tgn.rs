@@ -4,12 +4,13 @@
 use tgl_runtime::rng::StdRng;
 use tgl_runtime::rng::SeedableRng;
 use tgl_graph::NodeId;
-use tgl_sampler::SamplingStrategy;
+use tgl_sampler::{SamplingStrategy, TemporalSampler};
 use tgl_tensor::nn::{GruCell, Linear, Module};
 use tgl_tensor::ops::cat;
 use tgl_tensor::{no_grad, Tensor};
 use tglite::nn::TimeEncode;
-use tglite::{op, TBatch, TBlock, TContext, TSampler};
+use tglite::plan::SamplingSpec;
+use tglite::{op, TBatch, TBlock, TContext};
 
 use crate::{score_embeddings, EdgePredictor, ModelConfig, OptFlags, TemporalAttnLayer, TemporalModel};
 
@@ -26,7 +27,11 @@ pub struct Tgn {
     memory_updater: GruCell,
     mem_time_encoder: TimeEncode,
     feat_linear: Linear,
-    sampler: TSampler,
+    /// The chain recipe. It reads no memory or mailbox state, so the
+    /// pipelined trainer may build it ahead of the memory updates of
+    /// earlier batches. `cache` stays off: the paper skips it for TGN,
+    /// since memory updates invalidate cached embeddings.
+    spec: SamplingSpec,
     predictor: EdgePredictor,
     opts: OptFlags,
     cfg: ModelConfig,
@@ -61,10 +66,14 @@ impl Tgn {
                 .to_device(device),
             mem_time_encoder: TimeEncode::new(cfg.time_dim, &mut rng).to_device(device),
             feat_linear: Linear::new(d_node, mem_dim, &mut rng).to_device(device),
-            sampler: TSampler::from_engine(
-                tgl_sampler::TemporalSampler::new(cfg.n_neighbors, SamplingStrategy::Recent)
+            spec: SamplingSpec {
+                n_layers: cfg.n_layers,
+                dedup: opts.dedup,
+                cache: false,
+                preload_pinned: opts.preload_pinned,
+                sampler: TemporalSampler::new(cfg.n_neighbors, SamplingStrategy::Recent)
                     .with_seed(seed),
-            ),
+            },
             predictor: EdgePredictor::new(cfg.emb_dim, &mut rng).to_device(device),
             opts,
             cfg,
@@ -158,22 +167,8 @@ impl TemporalModel for Tgn {
     }
 
     fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor) {
-        // Build the block chain (dedup only: the paper skips cache()
-        // for TGN since memory updates invalidate cached embeddings).
-        let head = batch.block(ctx);
-        let mut tail = head.clone();
-        for i in 0..self.cfg.n_layers {
-            if i > 0 {
-                tail = tail.next_block();
-            }
-            if self.opts.dedup {
-                op::dedup(&tail);
-            }
-            self.sampler.sample(&tail);
-        }
-        if self.opts.preload_pinned {
-            op::preload(ctx, &head, true);
-        }
+        let head = tglite::plan::chain(ctx, batch, &self.spec);
+        let tail = head.tail();
 
         // Deepest inputs: updated memory ⊕ projected raw features for
         // the tail's destinations and sources (paper Listing 4 lines
@@ -201,6 +196,10 @@ impl TemporalModel for Tgn {
         self.save_state(ctx, batch);
 
         score_embeddings(&self.predictor, &embs, batch.len())
+    }
+
+    fn sampling_spec(&self) -> Option<SamplingSpec> {
+        Some(self.spec.clone())
     }
 }
 

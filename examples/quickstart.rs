@@ -42,7 +42,7 @@
 //! kernel contract: `exact` (default) is bitwise identical to the
 //! scalar reference kernels, `fast` enables the FMA/vector-exp SIMD
 //! paths with tolerance-level differences.
-//! `--pipeline <N>` (or `TGL_PIPELINE`) turns on the pipelined
+//! `--pipeline <N>` turns on the pipelined
 //! trainer: a sampler stage prefetches up to N batches (negative
 //! draws, neighbor sampling, transfer staging) ahead of the compute
 //! stage over a bounded channel; 0 (the default) is the sequential

@@ -92,6 +92,18 @@ grep -q "pipeline: sampler stage prefetching up to 2 batches" "$PIPE_LOG" \
 awk '$1=="sample" {s=$4+0} $1=="transfer" {t=$4+0} END {exit !(s>0 || t>0)}' "$PIPE_LOG" \
     || { echo "pipelined run shows no overlapped sample/transfer time"; cat "$PIPE_LOG"; exit 1; }
 
+echo "==> pipelined TGN smoke (--model tgn --move --pipeline 2, chain prefetch via critpath)"
+TGN_LOG="$OBS_DIR/pipeline-tgn.log"
+TGL_THREADS=2 ./target/release/tgl train --model tgn --dataset wiki --scale 8 --epochs 1 \
+    --move --pipeline 2 --critpath >"$TGN_LOG" 2>&1 \
+    || { cat "$TGN_LOG"; exit 1; }
+# TGN's block chain, pinned feature staging included, must be built on
+# the sampler stage: with features host-resident, the transfer row
+# needs a nonzero overlap column. Prefetching negatives alone leaves
+# it at zero.
+awk '$1=="transfer" {t=$4+0} END {exit !(t>0)}' "$TGN_LOG" \
+    || { echo "pipelined TGN run shows no overlapped transfer time"; cat "$TGN_LOG"; exit 1; }
+
 echo "==> live /metrics exposition + scrape check (with SLO rules + dashboard)"
 QS_LOG="$OBS_DIR/serve.log"
 TGL_THREADS=2 ./target/release/quickstart \

@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
 use tgl_harness::{HealthPolicy, TrainConfig, Trainer};
-use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat};
+use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::set_threads;
 use tglite::obs::metrics;
 use tglite::TContext;
@@ -46,15 +46,24 @@ fn counters() -> Vec<u64> {
 /// Per-epoch `(loss, val_ap)` bits plus tracked counter deltas.
 type RunResult = (Vec<(u32, u64)>, Vec<u64>);
 
-/// Trains 2 epochs of TGAT (all operators on) at the given pipeline
-/// depth, returning per-epoch `(loss, val_ap)` bits and the tracked
-/// counter deltas.
-fn run(depth: usize) -> RunResult {
+/// Builds a model (all operators on) for a context.
+type Build = fn(&TContext) -> Box<dyn TemporalModel>;
+
+/// The models whose block chain the sampler stage prefetches.
+const MODELS: [(&str, Build); 2] = [
+    ("TGAT", |ctx| Box::new(Tgat::new(ctx, ModelConfig::tiny(), OptFlags::all(), 5))),
+    ("TGN", |ctx| Box::new(Tgn::new(ctx, ModelConfig::tiny(), OptFlags::all(), 5))),
+];
+
+/// Trains 2 epochs of `build`'s model at the given pipeline depth,
+/// returning per-epoch `(loss, val_ap)` bits and the tracked counter
+/// deltas.
+fn run(build: Build, depth: usize) -> RunResult {
     let spec = DatasetSpec::of(DatasetKind::Wiki).scaled_down(20);
     let (g, _) = generate(&spec);
     let split = Split::standard(&g);
     let ctx = TContext::new(g.clone());
-    let mut model = Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 5);
+    let mut model = build(&ctx);
     let trainer = Trainer::new(
         TrainConfig {
             batch_size: 60,
@@ -70,7 +79,7 @@ fn run(depth: usize) -> RunResult {
     let before = counters();
     let stats = (0..2)
         .map(|e| {
-            let s = trainer.train_epoch(&mut model, &ctx, &split, &mut opt, e);
+            let s = trainer.train_epoch(model.as_mut(), &ctx, &split, &mut opt, e);
             (s.loss.to_bits(), s.val_ap.to_bits())
         })
         .collect();
@@ -79,41 +88,44 @@ fn run(depth: usize) -> RunResult {
     (stats, deltas)
 }
 
-/// The tentpole contract: at queue depths 1, 2, and 4 and pool widths
-/// 1 and 4, the pipelined trainer reproduces the sequential epoch
-/// losses and validation AP *bitwise*, and fires each stage counter
-/// exactly as often — sampling/dedup/staging moved threads, but not
-/// semantics. The sequential reference itself must also be invariant
-/// across pool widths (the runtime's determinism contract).
+/// The tentpole contract, for TGAT and TGN (whose whole block chain
+/// the sampler stage builds): at queue depths 1, 2, and 4 and pool
+/// widths 1 and 4, the pipelined trainer reproduces the sequential
+/// epoch losses and validation AP *bitwise*, and fires each stage
+/// counter exactly as often — sampling/dedup/staging moved threads,
+/// but not semantics. The sequential reference itself must also be
+/// invariant across pool widths (the runtime's determinism contract).
 #[test]
 fn pipelined_matches_sequential_bitwise_across_depths_and_threads() {
     let _g = serial();
-    let mut baseline: Option<RunResult> = None;
-    for threads in [1usize, 4] {
-        set_threads(threads);
-        let sequential = run(0);
-        assert!(
-            sequential.1[0] > 0 && sequential.1[2] > 0,
-            "reference run exercised no sampling/dedup work: {:?}",
-            sequential.1
-        );
-        match &baseline {
-            None => baseline = Some(sequential.clone()),
-            Some(b) => assert_eq!(
-                b, &sequential,
-                "sequential reference not invariant across thread counts"
-            ),
-        }
-        for depth in [1usize, 2, 4] {
-            let piped = run(depth);
-            assert_eq!(
-                sequential.0, piped.0,
-                "losses/val-AP diverged at depth {depth}, {threads} threads"
+    for (name, build) in MODELS {
+        let mut baseline: Option<RunResult> = None;
+        for threads in [1usize, 4] {
+            set_threads(threads);
+            let sequential = run(build, 0);
+            assert!(
+                sequential.1[0] > 0 && sequential.1[2] > 0,
+                "{name}: reference run exercised no sampling/dedup work: {:?}",
+                sequential.1
             );
-            assert_eq!(
-                sequential.1, piped.1,
-                "counter deltas {TRACKED:?} diverged at depth {depth}, {threads} threads"
-            );
+            match &baseline {
+                None => baseline = Some(sequential.clone()),
+                Some(b) => assert_eq!(
+                    b, &sequential,
+                    "{name}: sequential reference not invariant across thread counts"
+                ),
+            }
+            for depth in [1usize, 2, 4] {
+                let piped = run(build, depth);
+                assert_eq!(
+                    sequential.0, piped.0,
+                    "{name}: losses/val-AP diverged at depth {depth}, {threads} threads"
+                );
+                assert_eq!(
+                    sequential.1, piped.1,
+                    "{name}: counter deltas {TRACKED:?} diverged at depth {depth}, {threads} threads"
+                );
+            }
         }
     }
     set_threads(1);
