@@ -164,6 +164,11 @@ struct GemmThreadCell {
 /// enables FMA contraction), then scales 512^3 over the pool's thread
 /// counts. Writes `BENCH_micro_gemm.json` at the workspace root.
 /// GFLOP/s uses the usual 2·m·k·n flop count for C += A·B.
+///
+/// A separate `backward` series times `matmul` plus `backward` (the
+/// forward product and both gradient products, 6·m·k·n flops) at the
+/// training shapes `--profile` reports. It stays out of `results`, so
+/// the roofline peak is calibrated on forward GEMMs only.
 fn bench_gemm_series(counts: &[usize]) {
     const SIZES: [(usize, usize, usize); 9] = [
         (64, 64, 64),
@@ -176,10 +181,16 @@ fn bench_gemm_series(counts: &[usize]) {
         (400, 10, 16),   // attention output: (batch*heads) x fanout x dim_per_head
         (800, 32, 16),   // wider heads, deeper fan-in
     ];
+    const BACKWARD_SIZES: [(usize, usize, usize); 3] = [
+        (553, 32, 32), // TGN memory/embedding projection
+        (93, 32, 1),   // edge-predictor output layer
+        (400, 16, 10), // attention-score shape
+    ];
     const MODES: [tgl_tensor::kernel::KernelMode; 2] =
         [tgl_tensor::kernel::KernelMode::Exact, tgl_tensor::kernel::KernelMode::Fast];
     let ambient_mode = tgl_tensor::kernel::mode();
     let mut cells = Vec::new();
+    let mut bwd_cells = Vec::new();
     for mode in MODES {
         tgl_tensor::kernel::set_mode(mode);
         set_threads(1);
@@ -196,6 +207,25 @@ fn bench_gemm_series(counts: &[usize]) {
                 secs * 1e6
             );
             cells.push(GemmCell { m, k, n, kernel: mode.label(), secs, gflops });
+        }
+        println!("== single-thread GEMM forward+backward ({} mode) ==", mode.label());
+        for (m, k, n) in BACKWARD_SIZES {
+            let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng).requires_grad(true);
+            let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng).requires_grad(true);
+            let secs = time_it(
+                || {
+                    a.zero_grad();
+                    b.zero_grad();
+                    a.matmul(&b).backward_with(vec![1.0; m * n]);
+                },
+                0.4,
+            );
+            let gflops = 6.0 * (m * k * n) as f64 / secs / 1e9;
+            println!(
+                "  gemm_bwd_{m}x{k}x{n:<20} {:>12.1} us/iter  {gflops:>7.2} GFLOP/s",
+                secs * 1e6
+            );
+            bwd_cells.push(GemmCell { m, k, n, kernel: mode.label(), secs, gflops });
         }
     }
 
@@ -227,20 +257,24 @@ fn bench_gemm_series(counts: &[usize]) {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     s.push_str(&format!("  \"simd\": {:?},\n", tgl_tensor::kernel::simd_label()));
-    s.push_str("  \"threads\": 1,\n  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"kernel\": {:?}, \"secs\": {:.6e}, \"gflops\": {:.3}}}{}\n",
-            c.m,
-            c.k,
-            c.n,
-            c.kernel,
-            c.secs,
-            c.gflops,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
+    s.push_str("  \"threads\": 1,\n");
+    for (key, series) in [("results", &cells), ("backward", &bwd_cells)] {
+        s.push_str(&format!("  {key:?}: [\n"));
+        for (i, c) in series.iter().enumerate() {
+            s.push_str(&format!(
+                "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"kernel\": {:?}, \"secs\": {:.6e}, \"gflops\": {:.3}}}{}\n",
+                c.m,
+                c.k,
+                c.n,
+                c.kernel,
+                c.secs,
+                c.gflops,
+                if i + 1 == series.len() { "" } else { "," }
+            ));
+        }
+        s.push_str("  ],\n");
     }
-    s.push_str("  ],\n  \"multi_thread\": [\n");
+    s.push_str("  \"multi_thread\": [\n");
     let base = |kernel: &str| {
         tcells
             .iter()

@@ -63,6 +63,17 @@ impl Roofline {
         self.peak_gflops / self.bw_gbs
     }
 
+    /// The attainable GFLOP/s at arithmetic intensity `ai`: the lower
+    /// of the compute ceiling and `ai × bandwidth` (no bytes recorded
+    /// means only the compute ceiling applies).
+    pub fn bound_gflops(&self, ai: f64) -> f64 {
+        if ai > 0.0 {
+            self.peak_gflops.min(ai * self.bw_gbs)
+        } else {
+            self.peak_gflops
+        }
+    }
+
     /// Classifies an op from its totals: no FLOPs at all is pure data
     /// movement; otherwise compare arithmetic intensity to the ridge.
     pub fn verdict(&self, flops: u64, bytes: u64) -> &'static str {
@@ -229,7 +240,14 @@ pub struct OpRow {
     /// Roofline verdict: `compute-bound` / `bandwidth-bound` /
     /// `data-move`.
     pub verdict: &'static str,
+    /// Attained fraction of the roofline bound at this op's intensity,
+    /// `gflops / min(peak, ai × bw)` (0 for data movement).
+    pub bound_frac: f64,
 }
+
+/// Compute-bound ops attaining less than this fraction of their bound
+/// are marked in the table: the verdict alone hides a slow kernel.
+const LOW_BOUND_FRAC: f64 = 0.5;
 
 /// Derives roofline metrics for every op, preserving the profiler's
 /// self-time-descending order.
@@ -240,15 +258,18 @@ pub fn analyze(stats: &[OpStat], roof: &Roofline) -> Vec<OpRow> {
         .map(|s| {
             let secs = s.self_ns as f64 / 1e9;
             let bytes = s.bytes_read + s.bytes_written;
+            let gflops = if secs > 0.0 { s.flops as f64 / secs / 1e9 } else { 0.0 };
+            let ai = if bytes > 0 { s.flops as f64 / bytes as f64 } else { 0.0 };
             OpRow {
                 share: if total_self == 0 {
                     0.0
                 } else {
                     s.self_ns as f64 / total_self as f64
                 },
-                gflops: if secs > 0.0 { s.flops as f64 / secs / 1e9 } else { 0.0 },
-                ai: if bytes > 0 { s.flops as f64 / bytes as f64 } else { 0.0 },
+                gflops,
+                ai,
                 verdict: roof.verdict(s.flops, bytes),
+                bound_frac: if s.flops == 0 { 0.0 } else { gflops / roof.bound_gflops(ai) },
                 stat: s.clone(),
             }
         })
@@ -268,13 +289,21 @@ pub fn render_table(rows: &[OpRow], roof: &Roofline, top_k: usize) -> String {
         roof.ridge_ai()
     );
     let mut table = TextTable::new(&[
-        "op", "phase", "calls", "self_s", "share", "gflops", "ai", "verdict", "shape",
+        "op", "phase", "calls", "self_s", "share", "gflops", "%bound", "ai", "verdict", "shape",
     ]);
+    let mut any_low = false;
     for row in rows.iter().take(top_k) {
         // An achieved rate above the calibrated ceiling means the
         // roofline is stale (e.g. bench artifact from a pre-SIMD
         // build); flag it rather than report >100% of peak silently.
         let over_peak = row.gflops > roof.peak_gflops * 1.01;
+        let low = row.verdict == "compute-bound" && row.bound_frac < LOW_BOUND_FRAC;
+        any_low |= low;
+        let bound = if row.stat.flops == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.1}%{}", row.bound_frac * 100.0, if low { "*" } else { "" })
+        };
         table.row(&[
             row.stat.op.to_string(),
             row.stat.phase.to_string(),
@@ -282,6 +311,7 @@ pub fn render_table(rows: &[OpRow], roof: &Roofline, top_k: usize) -> String {
             format!("{:.4}", row.stat.self_ns as f64 / 1e9),
             format!("{:.1}%", row.share * 100.0),
             format!("{:.2}{}", row.gflops, if over_peak { " >peak!" } else { "" }),
+            bound,
             format!("{:.3}", row.ai),
             row.verdict.to_string(),
             row.stat.shape.to_string(),
@@ -289,6 +319,9 @@ pub fn render_table(rows: &[OpRow], roof: &Roofline, top_k: usize) -> String {
     }
     out.push_str(&table.render());
     out.push('\n');
+    if any_low {
+        out.push_str("* compute-bound at under 50% of its roofline bound\n");
+    }
     if rows.len() > top_k {
         out.push_str(&format!("... {} more ops\n", rows.len() - top_k));
     }
@@ -448,6 +481,35 @@ mod tests {
         let calm = vec![stat("matmul", "attention", 1_000_000, 1_000_000, 1_000)];
         let text = render_table(&analyze(&calm, &r), &r, 5);
         assert!(!text.contains(">peak!"), "1 GFLOP/s under a 4.0 peak must not flag");
+    }
+
+    #[test]
+    fn bound_column_reports_attained_fraction_and_marks_slow_compute() {
+        let r = roof(); // peak 4.0 GFLOP/s, 8 GB/s, ridge 0.5 FLOP/B
+        let stats = vec![
+            // 1 GFLOP/s at ai 6000: compute-bound at 25% of peak.
+            stat("matmul.bwd", "backward", 6_000_000, 6_000_000, 1_000),
+            // 3 GFLOP/s at ai 6000: 75% of peak, unmarked.
+            stat("matmul", "attention", 2_000_000, 6_000_000, 1_000),
+            // 0.1 GFLOP/s at ai 0.1: bound = 0.1 × 8 = 0.8 GFLOP/s.
+            stat("add", "attention", 1_000_000, 100_000, 1_000_000),
+            stat("cat", "sample", 500_000, 0, 1_000),
+        ];
+        let rows = analyze(&stats, &r);
+        assert!((rows[0].bound_frac - 0.25).abs() < 1e-9);
+        assert!((rows[1].bound_frac - 0.75).abs() < 1e-9);
+        assert!((rows[2].bound_frac - 0.125).abs() < 1e-9);
+        assert_eq!(rows[3].bound_frac, 0.0);
+        let text = render_table(&rows, &r, 10);
+        assert!(text.contains("%bound"), "missing column header:\n{text}");
+        assert!(text.contains("25.0%*"), "slow compute-bound row must be marked:\n{text}");
+        assert!(text.contains("75.0% "), "fast compute-bound row stays unmarked:\n{text}");
+        // Bandwidth-bound rows are judged by their own bound, unmarked.
+        assert!(text.contains("12.5% "), "{text}");
+        assert!(!text.contains("12.5%*"), "{text}");
+        assert!(text.contains("under 50% of its roofline bound"));
+        let fast = render_table(&rows[1..], &r, 10);
+        assert!(!fast.contains("roofline bound"), "no footnote without a marked row");
     }
 
     #[test]

@@ -128,24 +128,32 @@ pub fn op(name: &'static str) -> OpGuard {
     if !enabled() {
         return OpGuard { active: false };
     }
-    open(name, name, 0, 0, 0)
+    open(name, name, "", 0, 0, 0)
 }
 
-/// Opens a profiling frame for the backward pass of `fwd_op`, named
-/// `{fwd_op}.bwd`, pre-charged with the analytic costs the forward op
-/// declared via [`OpGuard::backward_cost`].
+/// Opens a profiling frame for the backward pass of the forward op
+/// described by `fwd` (as captured by [`node_info`]), named
+/// `{op}.bwd`, carrying the forward shape signature and pre-charged
+/// with the analytic costs the forward op declared via
+/// [`OpGuard::backward_cost`].
 #[inline]
-pub fn op_backward(fwd_op: &'static str, flops: u64, read: u64, write: u64) -> OpGuard {
+pub fn op_backward(fwd: &NodeInfo) -> OpGuard {
     if !enabled() {
         return OpGuard { active: false };
     }
-    let name = intern::intern(&format!("{fwd_op}.bwd"));
-    open(name, name, flops, read, write)
+    let name = intern::intern(&format!("{}.bwd", fwd.op));
+    let trace_name = if fwd.shape.is_empty() {
+        name
+    } else {
+        intern::intern(&format!("{name}[{}]", fwd.shape))
+    };
+    open(name, trace_name, fwd.shape, fwd.flops, fwd.read, fwd.write)
 }
 
 fn open(
     op: &'static str,
     trace_name: &'static str,
+    shape: &'static str,
     flops: u64,
     bytes_read: u64,
     bytes_written: u64,
@@ -161,7 +169,7 @@ fn open(
         pool_hits: 0,
         pool_misses: 0,
         transfer_bytes: 0,
-        shape: "",
+        shape,
         trace_name,
         bwd_flops: 0,
         bwd_read: 0,
@@ -297,26 +305,48 @@ impl Drop for OpGuard {
     }
 }
 
-/// Reports the op name and declared backward cost of the innermost
-/// active frame, for attaching to an autograd node — and *consumes*
-/// the backward cost so a second node built inside the same frame
-/// cannot double-charge it. Returns `("op", 0, 0, 0)` when profiling
-/// is disabled or no op frame is active.
-pub fn node_info() -> (&'static str, u64, u64, u64) {
+/// What an autograd node keeps of the forward op that built it, for
+/// [`op_backward`] to attribute the backward pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeInfo {
+    /// Forward op name (`"op"` when no profiled op built the node).
+    pub op: &'static str,
+    /// Forward input-shape signature, e.g. `2x3,3x4` (may be empty).
+    pub shape: &'static str,
+    /// Declared analytic backward FLOPs.
+    pub flops: u64,
+    /// Declared analytic backward bytes read.
+    pub read: u64,
+    /// Declared analytic backward bytes written.
+    pub write: u64,
+}
+
+impl NodeInfo {
+    /// The info of a node built while profiling was off or outside
+    /// any op frame.
+    pub const NONE: NodeInfo = NodeInfo { op: "op", shape: "", flops: 0, read: 0, write: 0 };
+}
+
+/// Reports the op name, shape signature and declared backward cost of
+/// the innermost active frame, for attaching to an autograd node — and
+/// *consumes* the backward cost so a second node built inside the same
+/// frame cannot double-charge it. Returns [`NodeInfo::NONE`] when
+/// profiling is disabled or no op frame is active.
+pub fn node_info() -> NodeInfo {
     if !enabled() {
-        return ("op", 0, 0, 0);
+        return NodeInfo::NONE;
     }
     FRAMES.with(|f| {
         let mut frames = f.borrow_mut();
-        match frames.last_mut() {
-            Some(top) => {
-                let info = (top.op, top.bwd_flops, top.bwd_read, top.bwd_write);
-                top.bwd_flops = 0;
-                top.bwd_read = 0;
-                top.bwd_write = 0;
-                info
-            }
-            None => ("op", 0, 0, 0),
+        let Some(top) = frames.last_mut() else {
+            return NodeInfo::NONE;
+        };
+        NodeInfo {
+            op: top.op,
+            shape: top.shape,
+            flops: std::mem::take(&mut top.bwd_flops),
+            read: std::mem::take(&mut top.bwd_read),
+            write: std::mem::take(&mut top.bwd_write),
         }
     })
 }
@@ -598,14 +628,21 @@ mod tests {
         enable(true);
         take();
         {
-            let _op = op("profile-test-bwd").backward_cost(42, 7, 3);
-            assert_eq!(node_info(), ("profile-test-bwd", 42, 7, 3));
+            let _op = op("profile-test-bwd").shape(&[&[2, 3]]).backward_cost(42, 7, 3);
+            let info = |flops, read, write| NodeInfo {
+                op: "profile-test-bwd",
+                shape: "2x3",
+                flops,
+                read,
+                write,
+            };
+            assert_eq!(node_info(), info(42, 7, 3));
             // Consumed: a second node inside the same frame gets zeros.
-            assert_eq!(node_info(), ("profile-test-bwd", 0, 0, 0));
+            assert_eq!(node_info(), info(0, 0, 0));
         }
         enable(false);
         take();
-        assert_eq!(node_info(), ("op", 0, 0, 0));
+        assert_eq!(node_info(), NodeInfo::NONE);
     }
 
     #[test]
@@ -639,11 +676,13 @@ mod tests {
         enable(true);
         take();
         {
-            let _op = op_backward("profile-test-fwd", 12, 8, 4);
+            let fwd = NodeInfo { op: "profile-test-fwd", shape: "5x6", flops: 12, read: 8, write: 4 };
+            let _op = op_backward(&fwd);
         }
         let stats = take();
         enable(false);
         let s = stats.iter().find(|s| s.op == "profile-test-fwd.bwd").unwrap();
+        assert_eq!(s.shape, "5x6", "backward rows carry the forward shape");
         assert_eq!(s.flops, 12);
         assert_eq!(s.bytes_read, 8);
         assert_eq!(s.bytes_written, 4);

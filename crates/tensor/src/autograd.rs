@@ -19,14 +19,10 @@ pub(crate) struct Node {
     pub(crate) inputs: Vec<Tensor>,
     #[allow(clippy::type_complexity)]
     pub(crate) backward: Box<dyn Fn(&[f32]) -> Vec<Option<Vec<f32>>> + Send + Sync>,
-    /// Forward op that created this node (`"op"` when the profiler was
-    /// off at build time) plus the analytic cost of the backward pass,
-    /// both captured from the profiler frame via
+    /// Forward op that created this node, its shape, and the analytic
+    /// cost of the backward pass, captured from the profiler frame via
     /// [`tgl_obs::profile::node_info`].
-    pub(crate) op: &'static str,
-    pub(crate) bwd_flops: u64,
-    pub(crate) bwd_read: u64,
-    pub(crate) bwd_write: u64,
+    pub(crate) prof: tgl_obs::profile::NodeInfo,
 }
 
 impl std::fmt::Debug for Node {
@@ -112,12 +108,7 @@ impl Tensor {
             match &tensor.inner.grad_fn {
                 Some(node) => {
                     let input_grads = {
-                        let _prof = tgl_obs::profile::op_backward(
-                            node.op,
-                            node.bwd_flops,
-                            node.bwd_read,
-                            node.bwd_write,
-                        );
+                        let _prof = tgl_obs::profile::op_backward(&node.prof);
                         (node.backward)(&grad)
                     };
                     assert_eq!(

@@ -1,43 +1,36 @@
-//! Cache-blocked GEMM micro-kernels with AVX2/FMA register tiles.
+//! Cache-blocked GEMM: one packed, panel-parallel loop nest behind all
+//! three 2-D products.
 //!
-//! The three 2-D kernels (`nn`, `nt`, `tn`) keep the contract from the
-//! naive kernels they replace: output rows are partitioned across the
-//! `tgl-runtime` pool in *fixed* [`MC`]-row panels (boundaries a
-//! function of the problem shape only), and in `exact` kernel mode
-//! **every output element accumulates its products in ascending
-//! reduction-index order with the same IEEE roundings as the scalar
-//! reference**, so results are bitwise identical to the unblocked
-//! kernels on every host and invariant across thread counts. The AVX2
-//! tile kernel honors that in exact mode by using lane-wise
-//! `mul`+`add` (one rounding each, per element, in k order — the same
-//! arithmetic the scalar loop performs); in `fast` mode it contracts to
-//! FMA and `mm_nt` switches to an 8-lane reduction fan, trading bitwise
-//! reproducibility vs the scalar reference for throughput (see
-//! `DESIGN.md` "Kernel contract").
+//! [`gemm`] computes `C[m,n] += A[m,k] · B` where `B` is read either as
+//! a row-major `[k,n]` matrix or as the transpose of a row-major
+//! `[n,k]` one. The entry points are thin:
 //!
-//! What blocking changes is the *memory* schedule:
+//! * [`mm_nn`] (`A·B`, forward) reads B row-major;
+//! * [`mm_nt`] (`A·Bᵀ`, the `dA = dC·Bᵀ` gradient) reads B transposed;
+//! * [`mm_tn`] (`Aᵀ·B`, the `dB = Aᵀ·dC` gradient) copies A transposed
+//!   and runs the `nn` form.
 //!
-//! * `mm_nn` walks K in [`KC`]-deep blocks and packs the corresponding
-//!   B rows into [`NR`]-wide column panels (one pooled scratch buffer
-//!   per row chunk). A panel tile (`KC × NR × 4 B` = 8 KiB) stays
-//!   L1-resident while a [`MR`]`×`[`NR`] register tile of C accumulates
-//!   across it ([`NR`] = one `__m256` per row on AVX2 hosts), and the
-//!   packed block is reused by every output row of the chunk instead of
-//!   streaming all of B once per row.
-//! * `mm_nt` needs no packing (both operands are traversed row-major);
-//!   it blocks [`MR`] output rows so each B row load is shared by four
-//!   concurrent dot products.
-//! * `mm_tn` walks M in [`MC`]-row blocks, packing the A block
-//!   transposed (one pooled buffer per chunk) so its strided
-//!   column reads happen once per block, and keeping the B block
-//!   (`MC × n`) cache-resident across all output rows of the chunk.
+//! The memory schedule: K is walked in [`KC`]-deep blocks, and the
+//! block's B values are packed into [`NR`]-wide column panels (rows
+//! `kk`-major, zero-padded past column n). Only the packing differs
+//! between the two B layouts; a transposed B is gathered column by
+//! column into the same panels. A packed panel (`KC × NR × 4 B` =
+//! 8 KiB) stays L1-resident while an [`MR`]`×`[`NR`] register tile of
+//! C accumulates across it ([`NR`] = one `__m256` per row on AVX2
+//! hosts), and every output row of the chunk reuses the packed block.
 //!
-//! Operands that are mostly zero (one-hot features) take the original
-//! zero-skipping row loops instead — branchy but proportional to the
-//! nonzero count.
+//! The contract: output rows are partitioned across the `tgl-runtime`
+//! pool in *fixed* [`MC`]-row panels (boundaries a function of the
+//! problem shape only), and in `exact` kernel mode **every output
+//! element adds its products one at a time in ascending reduction
+//! index, with a separate rounding for the multiply and the add**, so
+//! all three products are bitwise equal to the naive k-ascending
+//! triple loop on every host and at every thread count. The AVX2 tile
+//! honors that with lane-wise `mul`+`add`; in `fast` mode it contracts
+//! to FMA instead (see `DESIGN.md` "Kernel contract").
 
 use tgl_device::Device;
-use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
+use tgl_runtime::{parallel_for_chunks, UnsafeSlice};
 
 use crate::kernel;
 use crate::pool;
@@ -50,7 +43,7 @@ pub(crate) const MR: usize = 4;
 pub(crate) const NR: usize = 8;
 /// K-depth of a packed B block.
 pub(crate) const KC: usize = 256;
-/// M-depth of a parallel row panel (`nn`) / packed A block (`tn`).
+/// Output rows per parallel panel.
 pub(crate) const MC: usize = 64;
 
 /// Multiply-add count below which a matmul runs inline on the caller;
@@ -61,30 +54,6 @@ const MM_SEQ_FLOPS: usize = 32 * 1024;
 /// threshold — feeds `parallel_for`'s element threshold.
 pub(crate) fn seq_rows(row_flops: usize) -> usize {
     (MM_SEQ_FLOPS / row_flops.max(1)).max(1)
-}
-
-/// Cheap sparsity probe: samples up to 256 evenly spaced elements and
-/// reports whether more than half are exactly zero. The zero-skip
-/// branch in the `nn`/`tn` kernels only pays off on such operands; on
-/// dense data it costs a branch per inner-loop trip.
-pub(crate) fn mostly_zero(x: &[f32]) -> bool {
-    if x.is_empty() {
-        return false;
-    }
-    // Round the stride *up* so the probe honors its 256-sample cap
-    // (`len / 256` rounded down could sample up to 511 elements).
-    let step = x.len().div_ceil(256);
-    let mut zeros = 0usize;
-    let mut total = 0usize;
-    let mut i = 0;
-    while i < x.len() {
-        total += 1;
-        if x[i] == 0.0 {
-            zeros += 1;
-        }
-        i += step;
-    }
-    zeros * 2 > total
 }
 
 // ---------------------------------------------------------------------
@@ -217,45 +186,14 @@ fn row_update(arow: &[f32], pan: &[f32], acc: &mut [f32; NR], simd: bool, fma: b
     }
 }
 
-/// One dot product under the kernel contract: exact mode keeps the
-/// scalar 4-lane partial-sum reduction; fast mode on AVX2 hosts uses
-/// the 8-lane FMA fan.
-fn dot_update(a_row: &[f32], b_row: &[f32], fast_simd: bool) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if fast_simd {
-        // SAFETY: `fast_simd` implies `kernel::avx2()`.
-        return unsafe { kernel::x86::dot_fast(a_row, b_row) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = fast_simd;
-    let n = a_row.len();
-    // 4-way partial sums so the reduction can vectorize.
-    let mut acc = [0.0f32; 4];
-    let chunks = n / 4;
-    for q in 0..chunks {
-        let p = q * 4;
-        acc[0] += a_row[p] * b_row[p];
-        acc[1] += a_row[p + 1] * b_row[p + 1];
-        acc[2] += a_row[p + 2] * b_row[p + 2];
-        acc[3] += a_row[p + 3] * b_row[p + 3];
-    }
-    let mut tail = 0.0f32;
-    for p in chunks * 4..n {
-        tail += a_row[p] * b_row[p];
-    }
-    acc[0] + acc[1] + acc[2] + acc[3] + tail
-}
-
 // ---------------------------------------------------------------------
-// Blocked kernels
+// The blocked kernel
 // ---------------------------------------------------------------------
 
-/// C[m,n] += A[m,k] * B[k,n]
-pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+/// C[m,n] += A[m,k] · B, with B stored row-major as `[k,n]`, or as
+/// `[n,k]` (i.e. Bᵀ) when `b_t` is set.
+fn gemm(a: &[f32], b: &[f32], b_t: bool, c: &mut [f32], m: usize, k: usize, n: usize) {
     let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
-    if mostly_zero(a) {
-        return mm_nn_sparse(a, b, c, m, k, n);
-    }
     let n_tiles = n.div_ceil(NR);
     let simd = kernel::avx2();
     let fma = kernel::fast();
@@ -277,11 +215,16 @@ pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
             // Pack B[k0..k0+kc, :] into NR-wide panels: panel `jt`
             // holds rows kk-major, zero-padded past column n.
             for jt in 0..n_tiles {
-                let jw = NR.min(n - jt * NR);
+                let (j0, jw) = (jt * NR, NR.min(n - jt * NR));
                 let dst = &mut panel[jt * kc * NR..(jt + 1) * kc * NR];
-                for kk in 0..kc {
-                    let d = &mut dst[kk * NR..(kk + 1) * NR];
-                    d[..jw].copy_from_slice(&b[(k0 + kk) * n + jt * NR..][..jw]);
+                for (kk, d) in dst.chunks_exact_mut(NR).enumerate() {
+                    if b_t {
+                        for (jj, v) in d[..jw].iter_mut().enumerate() {
+                            *v = b[(j0 + jj) * k + k0 + kk];
+                        }
+                    } else {
+                        d[..jw].copy_from_slice(&b[(k0 + kk) * n + j0..][..jw]);
+                    }
                     d[jw..].fill(0.0);
                 }
             }
@@ -320,113 +263,28 @@ pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     });
 }
 
-/// Zero-skipping reference loop for mostly-zero A (identical
-/// floating-point order in exact mode: k ascending per output element).
-fn mm_nn_sparse(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let fma = kernel::fast();
-    let c = UnsafeSlice::new(c);
-    parallel_for(m, seq_rows(k * n), |rows: std::ops::Range<usize>| {
-        // SAFETY: disjoint row ranges per chunk.
-        let c_rows = unsafe { c.slice_mut(rows.start * n, rows.len() * n) };
-        for (ri, i) in rows.enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c_rows[ri * n..(ri + 1) * n];
-            for (kk, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                kernel::axpy_dispatch(c_row, &b[kk * n..(kk + 1) * n], aik, fma);
-            }
-        }
-    });
+/// C[m,n] += A[m,k] · B[k,n]
+pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm(a, b, false, c, m, k, n);
 }
 
-/// C[m,k] += A[m,n] * B[k,n]^T  (i.e. A · Bᵀ)
-pub(crate) fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
-    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
-    let fast_simd = kernel::fast() && kernel::avx2();
-    let c = UnsafeSlice::new(c);
-    parallel_for(m, seq_rows(n * k), |rows: std::ops::Range<usize>| {
-        // SAFETY: disjoint row ranges per chunk.
-        let c_rows = unsafe { c.slice_mut(rows.start * k, rows.len() * k) };
-        let (r0, rows_n) = (rows.start, rows.len());
-        let mut i = 0;
-        while i < rows_n {
-            let ih = MR.min(rows_n - i);
-            for j in 0..k {
-                let b_row = &b[j * n..(j + 1) * n];
-                // Each loaded B row feeds `ih` dot products.
-                for r in 0..ih {
-                    let a_row = &a[(r0 + i + r) * n..][..n];
-                    c_rows[(i + r) * k + j] += dot_update(a_row, b_row, fast_simd);
-                }
-            }
-            i += ih;
-        }
-    });
+/// C[m,n] += A[m,k] · B[n,k]ᵀ
+pub(crate) fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm(a, b, true, c, m, k, n);
 }
 
-/// C[k,n] += A[m,k]^T * B[m,n]  (i.e. Aᵀ · B)
+/// C[m,n] += A[k,m]ᵀ · B[k,n]
 ///
-/// Parallelized over output rows (columns of A): each `kk` accumulates
-/// over `i` in ascending order (`MC`-blocked, blocks ascending),
-/// matching the sequential kernel's floating-point order exactly.
+/// Runs the `nn` form on a transposed copy of A, so each element still
+/// sums its products in ascending reduction index. The copy is a plain
+/// allocation, not a pooled buffer: pooling it raised peak RSS of a
+/// TGAT training run by ~40% at the same speed.
 pub(crate) fn mm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
-    if mostly_zero(a) {
-        return mm_tn_sparse(a, b, c, m, k, n);
+    let mut at = Vec::with_capacity(m * k);
+    for i in 0..m {
+        at.extend((0..k).map(|kk| a[kk * m + i]));
     }
-    let fma = kernel::fast();
-    let c = UnsafeSlice::new(c);
-    parallel_for(k, seq_rows(m * n), |rows: std::ops::Range<usize>| {
-        // SAFETY: disjoint row ranges per chunk.
-        let c_rows = unsafe { c.slice_mut(rows.start * n, rows.len() * n) };
-        let kw = rows.len();
-        let mut ap = pool::take_uninit(MC.min(m.max(1)) * kw, Device::Host);
-        let mut i0 = 0;
-        while i0 < m {
-            let mc = MC.min(m - i0);
-            // Pack A[i0..i0+mc, rows] transposed so the strided column
-            // reads happen once per block.
-            for (kl, kk) in rows.clone().enumerate() {
-                for ii in 0..mc {
-                    ap[kl * mc + ii] = a[(i0 + ii) * k + kk];
-                }
-            }
-            // The B block rows i0..i0+mc stay cache-resident across
-            // every output row of this chunk.
-            for kl in 0..kw {
-                let a_col = &ap[kl * mc..(kl + 1) * mc];
-                let c_row = &mut c_rows[kl * n..(kl + 1) * n];
-                for (ii, &av) in a_col.iter().enumerate() {
-                    kernel::axpy_dispatch(c_row, &b[(i0 + ii) * n..][..n], av, fma);
-                }
-            }
-            i0 += mc;
-        }
-        pool::give(ap, Device::Host);
-    });
-}
-
-/// Zero-skipping reference loop for mostly-zero A (identical
-/// floating-point order in exact mode: i ascending per output element).
-fn mm_tn_sparse(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let fma = kernel::fast();
-    let c = UnsafeSlice::new(c);
-    parallel_for(k, seq_rows(m * n), |rows: std::ops::Range<usize>| {
-        // SAFETY: disjoint row ranges per chunk.
-        let c_rows = unsafe { c.slice_mut(rows.start * n, rows.len() * n) };
-        for (ri, kk) in rows.enumerate() {
-            let c_row = &mut c_rows[ri * n..(ri + 1) * n];
-            for i in 0..m {
-                let aik = a[i * k + kk];
-                if aik == 0.0 {
-                    continue;
-                }
-                kernel::axpy_dispatch(c_row, &b[i * n..(i + 1) * n], aik, fma);
-            }
-        }
-    });
+    gemm(&at, b, false, c, m, k, n);
 }
 
 #[cfg(test)]
@@ -435,8 +293,7 @@ mod tests {
     use crate::kernel::KernelMode;
 
     /// Bitwise assertions below define the *exact* contract: take the
-    /// crate-wide kernel lock and pin exact mode (SIMD stays as
-    /// detected — the exact-safe AVX2 tile must match scalar bitwise).
+    /// crate-wide kernel lock and pin exact mode.
     fn exact_guard() -> std::sync::MutexGuard<'static, ()> {
         let g = crate::kernel::test_serial();
         crate::kernel::set_mode(KernelMode::Exact);
@@ -447,6 +304,12 @@ mod tests {
         (0..len).map(|i| ((i * 37 + salt * 11) % 101) as f32 * 0.02 - 1.0).collect()
     }
 
+    fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..rows * cols).map(|idx| x[(idx % rows) * cols + idx / rows]).collect()
+    }
+
+    /// The reference every product must match bitwise in exact mode:
+    /// the k-ascending triple loop over row-major operands.
     fn naive_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
@@ -455,6 +318,37 @@ mod tests {
                     c[i * n + j] += a[i * k + kk] * b[kk * n + j];
                 }
             }
+        }
+        c
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Form {
+        Nn,
+        Nt,
+        Tn,
+    }
+    const FORMS: [Form; 3] = [Form::Nn, Form::Nt, Form::Tn];
+
+    /// `form`'s operands in storage layout for the logical product
+    /// `[m,k]·[k,n]`: a dense pair and a pair whose A looks like a
+    /// post-ReLU activation, over half of it exactly zero.
+    fn operands(form: Form, m: usize, k: usize, n: usize) -> [(Vec<f32>, Vec<f32>); 2] {
+        let (a, b) = (fill(m * k, 1), fill(k * n, 2));
+        let relu: Vec<f32> = a.iter().map(|v| (v - 0.1).max(0.0)).collect();
+        [a, relu].map(|a| match form {
+            Form::Nn => (a, b.clone()),
+            Form::Nt => (a, transpose(&b, k, n)),
+            Form::Tn => (transpose(&a, m, k), b.clone()),
+        })
+    }
+
+    fn run(form: Form, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        match form {
+            Form::Nn => mm_nn(a, b, &mut c, m, k, n),
+            Form::Nt => mm_nt(a, b, &mut c, m, k, n),
+            Form::Tn => mm_tn(a, b, &mut c, m, k, n),
         }
         c
     }
@@ -472,89 +366,57 @@ mod tests {
         (7, 513, 31),
     ];
 
+    /// `form` equals the naive loop at every size and operand pair,
+    /// with SIMD off and on, at 1 and 4 threads.
+    fn assert_matches_naive(form: Form) {
+        let _guard = exact_guard();
+        let before = tgl_runtime::current_threads();
+        for (m, k, n) in SIZES {
+            for (a, b) in operands(form, m, k, n) {
+                let want = match form {
+                    Form::Nn => naive_nn(&a, &b, m, k, n),
+                    Form::Nt => naive_nn(&a, &transpose(&b, n, k), m, k, n),
+                    Form::Tn => naive_nn(&transpose(&a, k, m), &b, m, k, n),
+                };
+                for (simd, threads) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+                    crate::kernel::set_simd(simd);
+                    tgl_runtime::set_threads(threads);
+                    let got = run(form, &a, &b, m, k, n);
+                    assert_eq!(got, want, "{form:?} {m}x{k}x{n} simd={simd} t={threads}");
+                }
+            }
+        }
+        tgl_runtime::set_threads(before);
+    }
+
     #[test]
     fn blocked_nn_matches_naive_bitwise() {
-        let _guard = exact_guard();
-        for (m, k, n) in SIZES {
-            let a = fill(m * k, 1);
-            let b = fill(k * n, 2);
-            let want = naive_nn(&a, &b, m, k, n);
-            let mut got = vec![0.0f32; m * n];
-            mm_nn(&a, &b, &mut got, m, k, n);
-            // Same k-ascending order and per-element roundings (exact
-            // mode, SIMD or scalar) => bitwise equal.
-            assert_eq!(got, want, "mm_nn {m}x{k}x{n}");
-        }
+        assert_matches_naive(Form::Nn);
+    }
+
+    #[test]
+    fn blocked_nt_matches_reference() {
+        assert_matches_naive(Form::Nt);
+    }
+
+    #[test]
+    fn blocked_tn_matches_naive_bitwise() {
+        assert_matches_naive(Form::Tn);
     }
 
     #[test]
     fn blocked_nn_simd_matches_scalar_bitwise() {
         let _guard = exact_guard();
-        for (m, k, n) in SIZES {
-            let a = fill(m * k, 7);
-            let b = fill(k * n, 9);
-            crate::kernel::set_simd(false);
-            let mut scalar = vec![0.0f32; m * n];
-            mm_nn(&a, &b, &mut scalar, m, k, n);
-            crate::kernel::set_simd(true);
-            let mut simd = vec![0.0f32; m * n];
-            mm_nn(&a, &b, &mut simd, m, k, n);
-            assert_eq!(simd, scalar, "mm_nn simd parity {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn blocked_nt_matches_reference() {
-        let _guard = exact_guard();
-        for (m, n, k) in SIZES {
-            let a = fill(m * n, 3);
-            let b = fill(k * n, 4);
-            // Reference: A[m,n] · B[k,n]^T via naive loops with the
-            // same 4-lane reduction order.
-            let mut want = vec![0.0f32; m * k];
-            for i in 0..m {
-                for j in 0..k {
-                    let (ar, br) = (&a[i * n..(i + 1) * n], &b[j * n..(j + 1) * n]);
-                    let mut acc = [0.0f32; 4];
-                    let chunks = n / 4;
-                    for q in 0..chunks {
-                        let p = q * 4;
-                        for l in 0..4 {
-                            acc[l] += ar[p + l] * br[p + l];
-                        }
-                    }
-                    let mut tail = 0.0f32;
-                    for p in chunks * 4..n {
-                        tail += ar[p] * br[p];
-                    }
-                    want[i * k + j] = acc[0] + acc[1] + acc[2] + acc[3] + tail;
+        for form in FORMS {
+            for (m, k, n) in SIZES {
+                for (a, b) in operands(form, m, k, n) {
+                    crate::kernel::set_simd(false);
+                    let scalar = run(form, &a, &b, m, k, n);
+                    crate::kernel::set_simd(true);
+                    let simd = run(form, &a, &b, m, k, n);
+                    assert_eq!(simd, scalar, "{form:?} simd parity {m}x{k}x{n}");
                 }
             }
-            let mut got = vec![0.0f32; m * k];
-            mm_nt(&a, &b, &mut got, m, n, k);
-            assert_eq!(got, want, "mm_nt {m}x{n}x{k}");
-        }
-    }
-
-    #[test]
-    fn blocked_tn_matches_naive_bitwise() {
-        let _guard = exact_guard();
-        for (m, k, n) in SIZES {
-            let a = fill(m * k, 5);
-            let b = fill(m * n, 6);
-            // want[kk,j] = sum_i (i ascending) a[i,kk] * b[i,j]
-            let mut want = vec![0.0f32; k * n];
-            for kk in 0..k {
-                for i in 0..m {
-                    let aik = a[i * k + kk];
-                    for j in 0..n {
-                        want[kk * n + j] += aik * b[i * n + j];
-                    }
-                }
-            }
-            let mut got = vec![0.0f32; k * n];
-            mm_tn(&a, &b, &mut got, m, k, n);
-            assert_eq!(got, want, "mm_tn {m}x{k}x{n}");
         }
     }
 
@@ -564,55 +426,18 @@ mod tests {
         // m spans several MC panels so the parallel decomposition is
         // exercised; k crosses a KC boundary.
         let (m, k, n) = (300, 257, 33);
-        let a = fill(m * k, 11);
-        let b = fill(k * n, 12);
         let before = tgl_runtime::current_threads();
-        let run = |threads: usize| {
-            tgl_runtime::set_threads(threads);
-            let mut c = vec![0.0f32; m * n];
-            mm_nn(&a, &b, &mut c, m, k, n);
-            c
-        };
-        let one = run(1);
-        let four = run(4);
+        for form in FORMS {
+            for (a, b) in operands(form, m, k, n) {
+                let at = |threads: usize| {
+                    tgl_runtime::set_threads(threads);
+                    run(form, &a, &b, m, k, n)
+                };
+                let (one, four) = (at(1), at(4));
+                assert_eq!(one, four, "{form:?} must be bitwise thread-count invariant");
+            }
+        }
         tgl_runtime::set_threads(before);
-        assert_eq!(one, four, "mm_nn must be bitwise thread-count invariant");
-    }
-
-    #[test]
-    fn sparse_operand_takes_skip_path_and_matches() {
-        let _guard = exact_guard();
-        let (m, k, n) = (33, 40, 21);
-        let mut a = vec![0.0f32; m * k];
-        for i in (0..m * k).step_by(7) {
-            a[i] = (i % 13) as f32 * 0.1;
-        }
-        assert!(mostly_zero(&a));
-        let b = fill(k * n, 8);
-        let want = naive_nn(&a, &b, m, k, n);
-        let mut got = vec![0.0f32; m * n];
-        mm_nn(&a, &b, &mut got, m, k, n);
-        // Zero-skip changes which terms are added (skipping exact
-        // zeros), which cannot change the result bitwise: x + 0.0 == x
-        // for all finite x.
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn mostly_zero_probe_caps_samples() {
-        // Dense-but-tiny and exactly-300: the probe must sample at most
-        // 256 elements (stride rounds up).
-        assert_eq!(300usize.div_ceil(256), 2);
-        let mut x = vec![1.0f32; 300];
-        assert!(!mostly_zero(&x));
-        // With an upward-rounded stride of 2, only even indices are
-        // probed: zeroing them flips the verdict even though odd
-        // indices stay dense.
-        for i in (0..300).step_by(2) {
-            x[i] = 0.0;
-        }
-        assert!(mostly_zero(&x));
-        assert!(!mostly_zero(&[]));
     }
 
     #[test]
@@ -623,6 +448,8 @@ mod tests {
         mm_tn(&[], &[], &mut c, 0, 0, 0);
         let mut c2 = vec![5.0f32; 6];
         mm_nn(&[], &[], &mut c2, 2, 0, 3);
+        mm_nt(&[], &[], &mut c2, 2, 0, 3);
+        mm_tn(&[], &[], &mut c2, 2, 0, 3);
         assert_eq!(c2, vec![5.0; 6], "k=0 leaves C untouched");
     }
 }

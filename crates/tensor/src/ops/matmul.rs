@@ -53,7 +53,7 @@ impl Tensor {
             let mut ga = pool::take_zeroed(m * k, a_t.device());
             mm_nt(go, &b, &mut ga, m, n, k);
             let mut gb = pool::take_zeroed(k * n, b_t.device());
-            mm_tn(&a, go, &mut gb, m, k, n);
+            mm_tn(&a, go, &mut gb, k, m, n);
             vec![Some(ga), Some(gb)]
         })
     }
@@ -138,8 +138,8 @@ impl Tensor {
                                 &a[i * m * k..(i + 1) * m * k],
                                 &go[i * m * n..(i + 1) * m * n],
                                 gbi,
-                                m,
                                 k,
+                                m,
                                 n,
                             );
                         }
@@ -252,5 +252,14 @@ mod tests {
         let a = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.1], [1, 2, 2]).requires_grad(true);
         let b = Tensor::from_vec(vec![1.0, 2.0, -1.0, 0.5], [1, 2, 2]);
         check_gradient(&a, |t| t.bmm(&b).sum_all(), 1e-2);
+        // Attention-shaped: one query row per (edge, head) against its
+        // neighbors' keys, [3, 1, 5] · [3, 5, 4].
+        let fill = |len: usize, salt: usize| -> Vec<f32> {
+            (0..len).map(|i| ((i * 37 + salt) % 101) as f32 / 101.0 - 0.5).collect()
+        };
+        let q = Tensor::from_vec(fill(15, 3), [3, 1, 5]);
+        let k = Tensor::from_vec(fill(60, 11), [3, 5, 4]);
+        check_gradient(&q.requires_grad(true), |t| t.bmm(&k).sum_all(), 1e-2);
+        check_gradient(&k.requires_grad(true), |t| q.bmm(t).sum_all(), 1e-2);
     }
 }

@@ -171,14 +171,10 @@ impl Tensor {
             // is building this node and carries its declared backward
             // cost; consuming it here keys the backward sweep's
             // `{op}.bwd` attribution.
-            let (op, bwd_flops, bwd_read, bwd_write) = tgl_obs::profile::node_info();
             Arc::new(Node {
                 inputs: inputs.to_vec(),
                 backward: Box::new(backward),
-                op,
-                bwd_flops,
-                bwd_read,
-                bwd_write,
+                prof: tgl_obs::profile::node_info(),
             })
         });
         Tensor {

@@ -8,6 +8,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --offline"
+# `--benches` alone builds bench harnesses only, not `target/release/tgl`.
+cargo build --release --offline --workspace
 cargo build --release --offline --workspace --benches
 
 echo "==> cargo test -q --offline (TGL_KERNEL=exact, the default)"
@@ -43,6 +45,9 @@ grep -q "matmul" "$PROF_LOG" \
     || { echo "profile table names no GEMM op"; cat "$PROF_LOG"; exit 1; }
 grep -Eq "compute-bound|bandwidth-bound" "$PROF_LOG" \
     || { echo "profile table carries no roofline verdict"; cat "$PROF_LOG"; exit 1; }
+# The table must report each op's attained fraction of its roofline bound.
+grep -q "%bound" "$PROF_LOG" \
+    || { echo "profile table missing the %bound column"; cat "$PROF_LOG"; exit 1; }
 grep -q "phase coverage" "$PROF_LOG" \
     || { echo "profile output missing phase coverage lines"; cat "$PROF_LOG"; exit 1; }
 # The roofline header must name the calibrated peak with its kernel

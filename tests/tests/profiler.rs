@@ -59,6 +59,8 @@ fn gemm_flop_counts_match_analytic_2mnk() {
         .expect("backward sweep must attribute matmul's declared cost");
     assert_eq!(bwd.calls, 1);
     assert_eq!(bwd.flops, 4 * (m * k * n) as u64);
+    assert!(!bwd.shape.is_empty(), "matmul.bwd must carry its forward shape");
+    assert_eq!(bwd.shape, mm.shape);
 }
 
 /// A deterministic mixed workload under two phase scopes.
